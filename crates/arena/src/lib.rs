@@ -14,7 +14,7 @@
 //!   evaluates the full portfolio × instance matrix in parallel with a
 //!   deterministic seed per cell. Mapping-producing entries (static SA)
 //!   are evaluated through `anneal-core`'s shared evaluation layer —
-//!   [`Portfolio::standard_with`] picks the
+//!   [`Portfolio::standard_with_lanes`] picks the
 //!   [`EvaluatorKind`](anneal_core::EvaluatorKind) (full replay vs the
 //!   incremental kernel; bit-identical results, very different cost).
 //!   Results feed `anneal-report`: a head-to-head CSV table and an SVG

@@ -18,9 +18,10 @@
 //!   workspace.
 //!
 //! [`Portfolio::standard`] registers every scheduler in the workspace;
-//! [`Portfolio::standard_with`] selects which
+//! [`Portfolio::standard_with_lanes`] selects which
 //! [`EvaluatorKind`] static SA prices its annealing moves with (the
-//! results are bit-identical either way — the kind only changes speed).
+//! results are bit-identical either way — the kind only changes speed)
+//! and which [`SaLane`] both annealers run.
 
 use std::sync::Arc;
 
@@ -277,23 +278,18 @@ impl Portfolio {
     /// adversary's reference field, where every candidate instance costs
     /// one simulation per entry.
     ///
-    /// Runs the staged-SA entry on the **turbo** lane: the
-    /// certified-lossy configuration whose final-makespan distribution
-    /// is gated against the exact engine by the corpus-scale
-    /// equivalence study (`lane_study` → `results/LANE_EQUIV.json`,
-    /// enforced in `tests/sa_lane_turbo.rs`). Deterministic per seed,
-    /// but **not** bit-identical to the lossless lanes — callers that
-    /// need the frozen delta-table stream (the corpus baseline, the CI
-    /// byte-compare contracts) must pin a lane through
-    /// [`Portfolio::fast_with_lane`].
+    /// Runs the staged-SA entry on the default lane
+    /// ([`SaLane::DeltaTable`]), as [`Portfolio::standard`] does, so
+    /// `standard()` is `fast()` plus `static-sa`. Pick another lane
+    /// with [`Portfolio::fast_with_lane`].
     pub fn fast() -> Self {
-        Self::fast_with_lane(SaLane::Turbo)
+        Self::fast_with_lane(SaLane::default())
     }
 
     /// [`Portfolio::fast`] with an explicit [`SaLane`] for the staged-SA
     /// entry. `Exact` and `DeltaTable` produce bit-identical cells (the
-    /// CI arena smoke byte-compares the CSVs); `Quantized` and `Turbo`
-    /// are the opt-in lossy configurations.
+    /// CI arena smoke byte-compares the CSVs); `Turbo` is the opt-in
+    /// lossy configuration.
     pub fn fast_with_lane(lane: SaLane) -> Self {
         let mut p = Portfolio::new();
         p.register(PortfolioEntry::new("greedy", |_, _| {
@@ -343,23 +339,17 @@ impl Portfolio {
     /// complete mapping with simulated-makespan cost, then replays it
     /// through the shared evaluation layer). Uses the default
     /// (incremental) move evaluator and the default (delta-table) SA
-    /// lane; see [`Portfolio::standard_with`].
+    /// lane; see [`Portfolio::standard_with_lanes`].
     pub fn standard() -> Self {
-        Self::standard_with(EvaluatorKind::default())
+        Self::standard_with_lanes(EvaluatorKind::default(), SaLane::default())
     }
 
     /// [`Portfolio::standard`] with an explicit [`EvaluatorKind`] for
-    /// static SA's move pricing. `Full` and `Incremental` produce
-    /// bit-identical cells (asserted by tests and the CI arena smoke);
-    /// only the evaluation speed differs.
-    pub fn standard_with(evaluator: EvaluatorKind) -> Self {
-        Self::standard_with_lanes(evaluator, SaLane::default())
-    }
-
-    /// [`Portfolio::standard_with`] with an explicit [`SaLane`] for
-    /// both annealing entries (`sa` and `static-sa`). Lossless lanes
-    /// produce bit-identical tournaments; the lane and evaluator only
-    /// change where the time goes.
+    /// static SA's move pricing and an explicit [`SaLane`] for both
+    /// annealing entries (`sa` and `static-sa`). `Full` and
+    /// `Incremental` produce bit-identical cells, as do the lossless
+    /// lanes (asserted by tests and the CI arena smoke); the lane and
+    /// evaluator only change where the time goes.
     pub fn standard_with_lanes(evaluator: EvaluatorKind, lane: SaLane) -> Self {
         let mut p = Self::fast_with_lane(lane);
         p.register(PortfolioEntry::new_mapped(
@@ -430,6 +420,13 @@ mod tests {
     }
 
     #[test]
+    fn standard_is_fast_plus_static_sa() {
+        let mut expected = Portfolio::fast().names();
+        expected.push("static-sa".to_string());
+        assert_eq!(Portfolio::standard().names(), expected);
+    }
+
+    #[test]
     fn without_removes_only_the_target() {
         let p = Portfolio::fast();
         let rest = p.without("hlf");
@@ -463,8 +460,8 @@ mod tests {
         // The `--evaluator {full,incremental}` toggle must never change
         // a result, only its cost.
         let insts = smoke_instances(4);
-        let full = Portfolio::standard_with(EvaluatorKind::Full);
-        let incr = Portfolio::standard_with(EvaluatorKind::Incremental);
+        let full = Portfolio::standard_with_lanes(EvaluatorKind::Full, SaLane::default());
+        let incr = Portfolio::standard_with_lanes(EvaluatorKind::Incremental, SaLane::default());
         for inst in &insts {
             for seed in [3, 11] {
                 let a = full.get("static-sa").unwrap().evaluate(inst, seed).unwrap();
@@ -479,7 +476,7 @@ mod tests {
     #[test]
     fn annealing_cells_are_lane_invariant_on_lossless_lanes() {
         // The `--sa-lane {exact,delta-table}` toggle must never change
-        // a result, only its cost. (`quantized` is exempt: lossy.)
+        // a result, only its cost. (`turbo` is exempt: lossy.)
         let insts = smoke_instances(4);
         let exact = Portfolio::standard_with_lanes(EvaluatorKind::default(), SaLane::Exact);
         let fast = Portfolio::standard_with_lanes(EvaluatorKind::default(), SaLane::DeltaTable);
@@ -494,19 +491,14 @@ mod tests {
                 }
             }
         }
-        // The lossy lanes still yield valid, auditable, per-seed
+        // The lossy lane still yields valid, auditable, per-seed
         // deterministic schedules.
-        for lane in [SaLane::Quantized, SaLane::Turbo] {
-            let lossy = Portfolio::standard_with_lanes(EvaluatorKind::default(), lane);
-            for name in ["sa", "static-sa"] {
-                let r = lossy.get(name).unwrap().evaluate(&insts[0], 42).unwrap();
-                r.audit(&insts[0].graph).unwrap();
-                let again = lossy.get(name).unwrap().evaluate(&insts[0], 42).unwrap();
-                assert_eq!(
-                    r.makespan, again.makespan,
-                    "{lane} {name} not deterministic"
-                );
-            }
+        let lossy = Portfolio::standard_with_lanes(EvaluatorKind::default(), SaLane::Turbo);
+        for name in ["sa", "static-sa"] {
+            let r = lossy.get(name).unwrap().evaluate(&insts[0], 42).unwrap();
+            r.audit(&insts[0].graph).unwrap();
+            let again = lossy.get(name).unwrap().evaluate(&insts[0], 42).unwrap();
+            assert_eq!(r.makespan, again.makespan, "turbo {name} not deterministic");
         }
     }
 

@@ -8,7 +8,7 @@
 use anneal_core::annealer::{anneal_packet, AnnealParams};
 use anneal_core::cost::{BalanceRange, CostModel};
 use anneal_core::packet::AnnealingPacket;
-use anneal_core::{CounterRng, LaneCounters, SaScratch, TurboTuning};
+use anneal_core::{CounterRng, LaneCounters, SaScratch};
 use anneal_graph::TaskId;
 use anneal_topology::ProcId;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -65,7 +65,6 @@ fn bench_anneal(c: &mut Criterion) {
                         &AnnealParams::default(),
                         &mut rng,
                         false,
-                        false,
                         &mut counters,
                     ))
                 })
@@ -82,7 +81,6 @@ fn bench_anneal(c: &mut Criterion) {
                 black_box(scratch.anneal_turbo(
                     &AnnealParams::default(),
                     &mut rng,
-                    TurboTuning::default(),
                     false,
                     &mut counters,
                 ))

@@ -4,8 +4,8 @@
 //! whole portfolio subsystem (tournaments, 1000-instance campaigns,
 //! adversarial-search ratio pricing) is throughput-bound on exactly
 //! that operation. This bench measures **cells per second** over the
-//! full fast portfolio (`Portfolio::fast()` — what campaigns run by
-//! default) on one instance per campaign shape at each size tier, via
+//! full fast portfolio (`Portfolio::fast_with_lane` — what campaigns
+//! run) on one instance per campaign shape at each size tier, via
 //! both evaluation paths:
 //!
 //! * `general` — [`PortfolioEntry::evaluate`] on the **exact SA
@@ -18,10 +18,10 @@
 //!   reused `SimScratch` per sweep, with the staged-SA inner loop
 //!   priced from flat cost tables and the quantized-lossless
 //!   acceptance table (`anneal_core::lane`);
-//! * `turbo` — the fast path on the **turbo SA lane** (what
-//!   `Portfolio::fast()` now defaults to): counter-based RNG streams,
-//!   no-fallback midpoint acceptance and `f32` cost tables — lossy,
-//!   certified statistically by `lane_study` instead of bit-for-bit.
+//! * `turbo` — the fast path on the opt-in **turbo SA lane**:
+//!   counter-based RNG streams and no-fallback midpoint acceptance —
+//!   lossy, certified statistically by `lane_study` instead of
+//!   bit-for-bit.
 //!
 //! Every cell is asserted **bit-identical** between the two lossless
 //! paths before anything is timed; in smoke mode this doubles as the
@@ -135,8 +135,8 @@ fn bench_portfolio(c: &mut Criterion) {
     let smoke = std::env::var("PORTFOLIO_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
     let reps = if smoke { 2 } else { 7 };
     // "Before" portfolio: exact SA lane, general evaluation. "After"
-    // portfolios: delta-table (lossless) and turbo (lossy, the
-    // `Portfolio::fast()` default) SA lanes on the fast path. Only the
+    // portfolios: delta-table (lossless, the default) and turbo
+    // (lossy, opt-in) SA lanes on the fast path. Only the
     // `sa` entry differs across the three — every other factory is
     // lane-independent.
     let portfolio = Portfolio::fast_with_lane(SaLane::Exact);
@@ -308,9 +308,8 @@ fn bench_portfolio(c: &mut Criterion) {
     }
 
     // The turbo lane's regression gate: on every tier, the turbo `sa`
-    // row must be strictly faster than the delta-table row it replaced
-    // as the `Portfolio::fast()` default — otherwise the lossy
-    // contract buys nothing and the lane should not exist.
+    // row must be strictly faster than the delta-table row — otherwise
+    // the lossy contract buys nothing and the lane should not exist.
     for (tier, (vs_general, vs_delta)) in
         ["small", "medium", "large"].iter().zip(&sa_turbo_speedups)
     {

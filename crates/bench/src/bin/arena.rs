@@ -23,13 +23,13 @@
 //! * `--evaluator` — how static SA prices its annealing moves
 //!   (default `incremental`). Both kinds produce byte-identical
 //!   artifacts — CI runs the tournament under each and diffs the CSVs.
-//! * `--sa-lane {exact,delta-table,quantized,turbo}` — which
-//!   inner-loop implementation the annealing entries run (default
-//!   `delta-table`; case-insensitive). The lossless lanes produce
-//!   byte-identical artifacts — CI runs the tournament under `exact`
-//!   and `delta-table` and diffs the CSVs; `quantized` and `turbo` are
-//!   the opt-in lossy configurations (turbo is certified by the
-//!   corpus-scale equivalence study, `lane_study`).
+//! * `--sa-lane {exact,delta-table,turbo}` — which inner-loop
+//!   implementation the annealing entries run (default `delta-table`;
+//!   case-insensitive). The lossless lanes produce byte-identical
+//!   artifacts — CI runs the tournament under `exact` and
+//!   `delta-table` and diffs the CSVs; `turbo` is the opt-in lossy
+//!   lane (certified by the corpus-scale equivalence study,
+//!   `lane_study`).
 //! * `--metrics PATH` — additionally write the tournament's
 //!   `anneal-obs` registry (JSON) to `PATH` and its
 //!   deterministic-class view to `PATH.det.json`. Observation never
@@ -52,7 +52,7 @@ fn usage() -> String {
          \x20     [--evaluator {{full,incremental}}] [--sa-lane LANE]\n\
          \x20     [--metrics PATH] [--null-clock]\n\
          \n\
-         valid --sa-lane values (case-insensitive): {}",
+         valid --sa-lane values (case-insensitive; default delta-table): {}",
         SaLane::name_list()
     )
 }

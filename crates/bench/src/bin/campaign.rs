@@ -37,7 +37,7 @@
 //! Usage: `campaign [instances] [shards] [seed] [--full] [--shard K]
 //! [--procs N] [--join DIR] [--threads T] [--merge-only] [--no-merge]
 //! [--dir PATH] [--evaluator {full,incremental}]
-//! [--sa-lane {exact,delta-table,quantized,turbo}] [--metrics PATH]
+//! [--sa-lane {exact,delta-table,turbo}] [--metrics PATH]
 //! [--null-clock] [--progress] [--chaos SPEC] [--max-attempts N]
 //! [--lease-ms MS] [--poll-ms MS] [--stall-timeout-ms MS]`
 //!
@@ -45,7 +45,7 @@
 //! * `shards` — shard count (default 8).
 //! * `seed` — base seed for generation and evaluation (default 42).
 //! * `--full` — use `Portfolio::standard()` including whole-graph
-//!   static SA (slower; default is `Portfolio::fast()`).
+//!   static SA (slower; default is `Portfolio::fast_with_lane`).
 //! * `--shard K` — restrict this invocation to shard `K`.
 //! * `--procs N` — supervised multi-worker driver: spawn `N` `--join`
 //!   workers over the campaign directory, respawn dead ones, restart
@@ -61,8 +61,10 @@
 //! * `--dir PATH` — campaign directory (default `results/campaign`).
 //! * `--evaluator` — how static SA prices its annealing moves (default
 //!   `incremental`); stamped into `campaign.meta` for provenance.
-//! * `--sa-lane` — inner-loop lane (default `delta-table`); stamped
-//!   into `campaign.meta`, mixing lanes in one directory is refused.
+//! * `--sa-lane` — inner-loop lane (default `delta-table`, the
+//!   lossless lane; `exact` is its bitwise oracle and `turbo` the
+//!   opt-in lossy lane); stamped into `campaign.meta`, mixing lanes in
+//!   one directory is refused.
 //! * `--metrics PATH` — observe through `anneal-obs`: shards write
 //!   sealed `metrics-<k>.jsonl`, the merge combines them into `PATH`
 //!   plus its deterministic-class view `PATH.det.json` and a summary
@@ -132,7 +134,7 @@ fn usage() -> String {
          \x20        [--chaos SPEC] [--max-attempts N] [--lease-ms MS] [--poll-ms MS]\n\
          \x20        [--stall-timeout-ms MS]\n\
          \n\
-         valid --sa-lane values (case-insensitive): {}\n\
+         valid --sa-lane values (case-insensitive; default delta-table): {}\n\
          --chaos SPEC example: seed=7,kill=40,truncate=30,corrupt=10,stall=5,only=2",
         SaLane::name_list()
     )

@@ -146,9 +146,8 @@ fn main() {
 
     // Pinned to the delta-table lane: the corpus files and baseline.csv
     // are frozen under its (exact-equal) RNG stream, and CI requires a
-    // regeneration to be a byte-level no-op. `Portfolio::fast()`
-    // defaults to the lossy turbo lane, which would silently re-anchor
-    // every baseline row.
+    // regeneration to be a byte-level no-op. Pinning explicitly keeps
+    // that true even if the default lane ever changes.
     let portfolio = Portfolio::fast_with_lane(SaLane::DeltaTable);
     let mut frozen: Vec<FrozenInstance> = Vec::new();
     let mut table = Table::new(vec![

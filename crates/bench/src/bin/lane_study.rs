@@ -4,8 +4,8 @@
 //!
 //! The turbo lane (`anneal_core::SaLane::Turbo`) deliberately drops the
 //! bit-exact contract the delta-table lane proved: counter-based RNG
-//! streams, no-fallback midpoint acceptance and `f32` cost tables all
-//! change the annealing trajectory. What it must **not** change is the
+//! streams and no-fallback midpoint acceptance both change the
+//! annealing trajectory. What it must **not** change is the
 //! *result distribution*: scheduler comparisons are properly made on
 //! final-makespan distributions (Workflow-Schedulers, PAPERS.md), and a
 //! lossy lane must be stress-tested where it is most likely to crack —
@@ -44,8 +44,7 @@
 //! The study itself is a pure function of its arguments — no timing, no
 //! threads — so two runs emit byte-identical JSON.
 //!
-//! Usage: `lane_study [--smoke] [--seeds S] [--campaign N] [--tuning]
-//! [--out PATH]`
+//! Usage: `lane_study [--smoke] [--seeds S] [--campaign N] [--out PATH]`
 //!
 //! * `--smoke` — reduced CI configuration: 8 seeds × (sa-targeted
 //!   corpus + 8 campaign instances). The gate is still enforced.
@@ -53,9 +52,6 @@
 //!   the full-mode gate to be meaningful).
 //! * `--campaign N` — campaign-family instances to include (default
 //!   24).
-//! * `--tuning` — additionally emit per-ingredient attribution rows:
-//!   each `TurboTuning` toggle flipped off in isolation, quality-only,
-//!   over the corpus instances.
 //! * `--out PATH` — output path (default `results/LANE_EQUIV.json`).
 //!
 //! Exit status is nonzero when a gate fails, so CI can run the binary
@@ -65,7 +61,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use anneal_arena::{campaign_instance, load_corpus_dir, regression_seed, ArenaInstance};
-use anneal_core::{SaConfig, SaLane, SaScheduler, TurboTuning};
+use anneal_core::{SaConfig, SaLane, SaScheduler};
 use anneal_sim::simulate;
 
 /// Gate: corpus-mean (mean of per-instance makespan ratios) ceiling.
@@ -88,7 +84,6 @@ struct StudyArgs {
     smoke: bool,
     seeds: u64,
     campaign: usize,
-    tuning: bool,
     out: PathBuf,
 }
 
@@ -96,7 +91,7 @@ fn parse_args() -> StudyArgs {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         println!(
-            "lane_study [--smoke] [--seeds S] [--campaign N] [--tuning] [--out PATH]\n\
+            "lane_study [--smoke] [--seeds S] [--campaign N] [--out PATH]\n\
              emits results/LANE_EQUIV.json and exits nonzero when the\n\
              turbo-vs-exact equivalence gate fails\n\
              (corpus mean <= {CORPUS_MEAN_MAX}, instance mean <= {INSTANCE_MEAN_MAX})"
@@ -107,7 +102,6 @@ fn parse_args() -> StudyArgs {
         smoke: false,
         seeds: 32,
         campaign: 24,
-        tuning: false,
         out: PathBuf::from("results/LANE_EQUIV.json"),
     };
     let mut it = argv.iter();
@@ -116,7 +110,6 @@ fn parse_args() -> StudyArgs {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => args.smoke = true,
-            "--tuning" => args.tuning = true,
             "--seeds" => {
                 let s = it.next().and_then(|v| v.parse().ok());
                 args.seeds = s.expect("--seeds needs a count");
@@ -146,20 +139,7 @@ fn parse_args() -> StudyArgs {
 /// Final makespan of the staged SA scheduler under `lane` — the same
 /// entry point `tests/sa_lane_corpus.rs` gates.
 fn staged_makespan(inst: &ArenaInstance, lane: SaLane, seed: u64) -> u64 {
-    staged_makespan_tuned(inst, lane, seed, TurboTuning::default())
-}
-
-fn staged_makespan_tuned(
-    inst: &ArenaInstance,
-    lane: SaLane,
-    seed: u64,
-    tuning: TurboTuning,
-) -> u64 {
-    let cfg = SaConfig {
-        turbo_tuning: tuning,
-        ..SaConfig::default().with_seed(seed).with_lane(lane)
-    };
-    let mut sched = SaScheduler::new(cfg);
+    let mut sched = SaScheduler::new(SaConfig::default().with_seed(seed).with_lane(lane));
     simulate(
         &inst.graph,
         &inst.topology,
@@ -280,56 +260,6 @@ fn main() {
     let gate_pass =
         corpus_mean <= CORPUS_MEAN_MAX && rows.iter().all(|r| r.makespan_ratio() <= instance_max);
 
-    // Attribution rows: each lossy ingredient disabled in isolation,
-    // quality-only, over the corpus subset (the adversarial instances).
-    let mut tuning_rows: Vec<(String, f64)> = Vec::new();
-    if args.tuning {
-        let variants: [(&str, TurboTuning); 4] = [
-            ("turbo", TurboTuning::default()),
-            (
-                "no-counter-rng",
-                TurboTuning {
-                    counter_rng: false,
-                    ..TurboTuning::default()
-                },
-            ),
-            (
-                "no-midpoint-accept",
-                TurboTuning {
-                    midpoint_accept: false,
-                    ..TurboTuning::default()
-                },
-            ),
-            (
-                "no-f32-tables",
-                TurboTuning {
-                    f32_tables: false,
-                    ..TurboTuning::default()
-                },
-            ),
-        ];
-        let seeds = args.seeds.min(8);
-        for (vname, tuning) in variants {
-            let mut means = Vec::new();
-            for (inst, source) in &instances {
-                if *source != "corpus" {
-                    continue;
-                }
-                let mut exact_sum = 0.0;
-                let mut turbo_sum = 0.0;
-                for k in 0..seeds {
-                    let seed = study_seed(&inst.name, k);
-                    exact_sum += staged_makespan(inst, SaLane::Exact, seed) as f64;
-                    turbo_sum += staged_makespan_tuned(inst, SaLane::Turbo, seed, tuning) as f64;
-                }
-                means.push(turbo_sum / exact_sum);
-            }
-            let mean = means.iter().sum::<f64>() / means.len() as f64;
-            println!("tuning {vname:20} corpus mean {mean:.4}");
-            tuning_rows.push((vname.to_string(), mean));
-        }
-    }
-
     // Hand-rolled JSON (no serde in the workspace); deterministic field
     // order and fixed-precision floats, so re-runs are byte-identical.
     let mut json = String::new();
@@ -373,19 +303,9 @@ fn main() {
         json,
         "  \"aggregate\": {{\"corpus_mean_ratio\": {corpus_mean:.6}, \
          \"worst_instance\": \"{worst_name}\", \"worst_instance_mean\": {worst_mean:.6}, \
-         \"worst_seed_ratio\": {worst_seed:.6}, \"gate_pass\": {gate_pass}}},"
+         \"worst_seed_ratio\": {worst_seed:.6}, \"gate_pass\": {gate_pass}}}"
     );
-    json.push_str("  \"tuning\": [");
-    for (i, (vname, mean)) in tuning_rows.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        let _ = write!(
-            json,
-            "{{\"variant\": \"{vname}\", \"corpus_mean_ratio\": {mean:.6}}}"
-        );
-    }
-    json.push_str("]\n}\n");
+    json.push_str("}\n");
 
     if let Some(parent) = args.out.parent() {
         std::fs::create_dir_all(parent).expect("create output dir");

@@ -23,24 +23,17 @@
 //!   (the proposal's `u` lands inside the table's conservative error
 //!   band, or the bucket brushes `p == 1.0` where the draw count itself
 //!   is at stake) it falls back to the exact `exp()` path, so
-//!   losslessness is a theorem, not a tolerance.
-//! * [`SaLane::Quantized`] — an opt-in lossy configuration that decides
-//!   every in-range proposal from the table's bucket midpoint and never
-//!   evaluates `exp()` for it. It is validated *statistically* (the
-//!   acceptance rate tracks the true Boltzmann probability to within
-//!   the bucket width), not bit-for-bit. It still consumes the exact
-//!   lane's RNG draw counts.
-//! * [`SaLane::Turbo`] — the certified-lossy lane: it drops the RNG
-//!   stream contract entirely. Proposals draw from a counter-based
+//!   losslessness is a theorem, not a tolerance. The default lane.
+//! * [`SaLane::Turbo`] — the opt-in certified-lossy lane: it drops the
+//!   RNG stream contract entirely. Proposals draw from a counter-based
 //!   stream ([`crate::rng_stream`], batched with no sequential
 //!   dependency), bounded draws use a multiply-high reduction instead
-//!   of zone rejection, acceptance is the pure midpoint threshold
+//!   of zone rejection, and acceptance is the pure midpoint threshold
 //!   ([`AcceptTable::turbo_threshold`]) with **no** exact-fallback
-//!   slack bands, and the per-packet cost tables are optionally `f32`.
-//!   Each ingredient toggles independently via [`TurboTuning`]. The
-//!   lane is certified by a corpus-scale statistical equivalence study
-//!   (`lane_study` bin → `results/LANE_EQUIV.json`, gated in
-//!   `tests/sa_lane_turbo.rs`), not by any bitwise oracle.
+//!   slack bands. It prices moves from the delta-table lane's `f64`
+//!   cost tables. The lane is certified by a corpus-scale statistical
+//!   equivalence study (`lane_study` bin → `results/LANE_EQUIV.json`,
+//!   gated in `tests/sa_lane_turbo.rs`), not by any bitwise oracle.
 //!
 //! # The oracle contract
 //!
@@ -50,8 +43,6 @@
 //! final mapping, and leave the RNG in the same state as the exact
 //! lane. `crates/core/tests/sa_lane.rs` pins this property with
 //! proptests; `tests/sa_lane_corpus.rs` pins it on the frozen corpus.
-//! The `Quantized` lane only promises the statistical equivalence
-//! above plus the same *number* of RNG draws per decision.
 
 use std::fmt;
 use std::str::FromStr;
@@ -80,31 +71,23 @@ pub enum SaLane {
     /// to [`SaLane::Exact`], faster. The default.
     #[default]
     DeltaTable,
-    /// Flat delta tables + bucket-midpoint acceptance: no `exp()` on
-    /// the hot path, validated statistically only. Opt-in.
-    Quantized,
-    /// Certified-lossy fast lane: counter-based RNG streams
-    /// ([`crate::rng_stream`]), no-fallback midpoint acceptance and
-    /// `f32` cost tables. No bitwise or draw-count contract — gated by
-    /// the corpus-scale statistical equivalence study instead.
+    /// Certified-lossy fast lane, opt-in: counter-based RNG streams
+    /// ([`crate::rng_stream`]) and no-fallback midpoint acceptance on
+    /// the delta-table lane's `f64` cost tables. No bitwise or
+    /// draw-count contract — gated by the corpus-scale statistical
+    /// equivalence study instead.
     Turbo,
 }
 
 impl SaLane {
     /// Every lane, in CLI/display order (what `--sa-lane` accepts).
-    pub const ALL: [SaLane; 4] = [
-        SaLane::Exact,
-        SaLane::DeltaTable,
-        SaLane::Quantized,
-        SaLane::Turbo,
-    ];
+    pub const ALL: [SaLane; 3] = [SaLane::Exact, SaLane::DeltaTable, SaLane::Turbo];
 
     /// Stable lowercase name (CSV provenance, CLI flags).
     pub fn name(self) -> &'static str {
         match self {
             SaLane::Exact => "exact",
             SaLane::DeltaTable => "delta-table",
-            SaLane::Quantized => "quantized",
             SaLane::Turbo => "turbo",
         }
     }
@@ -121,7 +104,7 @@ impl SaLane {
 
     /// Whether this lane is bit-identical to [`SaLane::Exact`].
     pub fn is_lossless(self) -> bool {
-        !matches!(self, SaLane::Quantized | SaLane::Turbo)
+        self != SaLane::Turbo
     }
 }
 
@@ -246,7 +229,7 @@ struct Bucket {
     /// `u ≥ hi` proves reject (`hi ≥ p` everywhere in the bucket).
     hi: f64,
     /// **Midpoint-threshold invariant** (the documented decision rule
-    /// of the `Quantized` and `Turbo` lanes, surfaced by
+    /// of the `Turbo` lane, surfaced by
     /// [`AcceptTable::turbo_threshold`]): `mid` is the *exact*
     /// acceptance probability evaluated at the bucket's center
     /// `x_center = x_lo + (i + ½)·w` — not an average, not an
@@ -269,8 +252,8 @@ struct Bucket {
     exact: bool,
 }
 
-/// Quantized Boltzmann acceptance for one [`AcceptanceRule`], built
-/// once per process ([`accept_table`]).
+/// A quantized Boltzmann acceptance table for one [`AcceptanceRule`],
+/// built once per process ([`accept_table`]).
 ///
 /// The acceptance probability of both rules is a monotone decreasing
 /// function of `x = delta / temp` alone, so one table per rule covers
@@ -368,33 +351,6 @@ impl AcceptTable {
         self.rule
     }
 
-    /// Lossless accept/reject: bit-identical decision *and* RNG
-    /// consumption to [`accept`] for every input.
-    #[inline]
-    pub fn accept_lossless<R: Rng + ?Sized>(
-        &self,
-        delta: f64,
-        temp: f64,
-        rng: &mut R,
-        counters: &mut LaneCounters,
-    ) -> bool {
-        self.decide(delta, temp, rng, false, counters)
-    }
-
-    /// Lossy accept/reject from the bucket midpoint: same RNG
-    /// consumption, statistically equivalent decision, never evaluates
-    /// `exp()` for an in-range bucket.
-    #[inline]
-    pub fn accept_quantized<R: Rng + ?Sized>(
-        &self,
-        delta: f64,
-        temp: f64,
-        rng: &mut R,
-        counters: &mut LaneCounters,
-    ) -> bool {
-        self.decide(delta, temp, rng, true, counters)
-    }
-
     /// The turbo lane's draw-free decision rule: for `x = ΔF/T`,
     /// returns the probability threshold `th` such that the acceptance
     /// decision is `u < th` for a single uniform draw `u ∈ [0, 1)`.
@@ -411,9 +367,9 @@ impl AcceptTable {
     ///   beyond 700 to the exact path because the draw count is at
     ///   stake, turbo simply rejects a `p ≤ e⁻⁷⁰⁰` move);
     /// * otherwise → the bucket's exact center probability `mid`,
-    ///   **including** the `exact`-marked buckets the
-    ///   lossless/quantized lanes delegate (there `mid` rounds to
-    ///   ~1.0, so the decision is a near-certain accept).
+    ///   **including** the `exact`-marked buckets the lossless lane
+    ///   delegates (there `mid` rounds to ~1.0, so the decision is a
+    ///   near-certain accept).
     ///
     /// A NaN `x` saturates to bucket 0 (threshold ≈ 1, near-certain
     /// accept) instead of panicking — a documented divergence from the
@@ -485,13 +441,14 @@ impl AcceptTable {
         }
     }
 
+    /// Lossless accept/reject: bit-identical decision *and* RNG
+    /// consumption to [`accept`] for every input.
     #[inline]
-    fn decide<R: Rng + ?Sized>(
+    pub fn accept_lossless<R: Rng + ?Sized>(
         &self,
         delta: f64,
         temp: f64,
         rng: &mut R,
-        quantized: bool,
         counters: &mut LaneCounters,
     ) -> bool {
         // Frozen system: strict downhill, no draw (the exact lane's
@@ -535,10 +492,6 @@ impl AcceptTable {
             return accept(self.rule, delta, temp, rng);
         }
         let u = unit_f64(rng);
-        if quantized {
-            counters.table += 1;
-            return u < b.mid;
-        }
         if u < b.lo {
             counters.table += 1;
             return true;
@@ -574,46 +527,6 @@ pub fn accept_table(rule: AcceptanceRule) -> &'static AcceptTable {
 /// Sentinel for "unassigned" in the flat mapping arrays.
 const NONE: u32 = u32::MAX;
 
-/// Attribution toggles for the turbo lane's three lossy ingredients.
-/// All default to `true` (the shipped turbo configuration); flipping
-/// one off isolates its contribution to speed and to the equivalence
-/// study (`lane_study --tuning` rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TurboTuning {
-    /// Draw proposals and acceptance from the counter-based stream
-    /// ([`crate::rng_stream::CounterRng`], incremental Weyl state) instead of
-    /// the scheduler's sequential generator. This toggle is honored by
-    /// the *caller* ([`crate::sa::SaScheduler`] picks which generator
-    /// to pass); [`SaScratch::anneal_turbo`] itself is generic over the
-    /// stream.
-    pub counter_rng: bool,
-    /// Decide acceptance from the no-fallback midpoint threshold
-    /// ([`AcceptTable::turbo_threshold`]); `false` falls back to the
-    /// lossless banded decision (still on the turbo draw plan).
-    pub midpoint_accept: bool,
-    /// Price moves from `f32` copies of the level/communication tables
-    /// (half the cache footprint; deltas still accumulate in `f64`).
-    ///
-    /// **Off by default**: the corpus study shows quality is
-    /// unaffected, but at the paper's packet sizes (≤ ~100 candidates
-    /// × ≤ 16 processors) both tables already fit in L1, so the
-    /// per-move `f32 → f64` converts outweigh the bandwidth saving —
-    /// a measured ~5% *loss* on baseline x86-64 (`lane_study
-    /// --tuning` records the attribution). The toggle stays for wider
-    /// topologies, where the footprint argument starts to hold.
-    pub f32_tables: bool,
-}
-
-impl Default for TurboTuning {
-    fn default() -> Self {
-        TurboTuning {
-            counter_rng: true,
-            midpoint_accept: true,
-            f32_tables: false,
-        }
-    }
-}
-
 /// What one fast-lane packet run produced (the flat-lane analogue of
 /// [`PacketOutcome`]; the final mapping stays in the scratch).
 #[derive(Debug, Clone)]
@@ -644,11 +557,6 @@ pub struct SaScratch {
     lv: Vec<f64>,
     /// Row-major `comm_cost[t * p + j] as f64`, the eq. 4/5 operand.
     cc: Vec<f64>,
-    /// `f32` copy of `lv` (turbo lane, [`TurboTuning::f32_tables`]);
-    /// filled lazily by [`SaScratch::anneal_turbo`].
-    lv32: Vec<f32>,
-    /// `f32` copy of `cc` (turbo lane).
-    cc32: Vec<f32>,
     worst: Vec<u64>,
     sort_buf: Vec<u64>,
     preds: Vec<(ProcId, Work)>,
@@ -880,10 +788,10 @@ impl SaScratch {
         }
     }
 
-    /// Runs the fast-lane annealing loop on the loaded packet. With
-    /// `quantized == false` this replays [`anneal_packet`] bit-for-bit:
-    /// same draws, same float expressions, same accepted-move sequence,
-    /// same trace. The converged mapping is left in the scratch
+    /// Runs the fast-lane annealing loop on the loaded packet. This
+    /// replays [`anneal_packet`] bit-for-bit: same draws, same float
+    /// expressions, same accepted-move sequence, same trace. The
+    /// converged mapping is left in the scratch
     /// ([`SaScratch::assignments`]).
     ///
     /// [`anneal_packet`]: crate::annealer::anneal_packet
@@ -891,7 +799,6 @@ impl SaScratch {
         &mut self,
         params: &AnnealParams,
         rng: &mut R,
-        quantized: bool,
         want_trace: bool,
         counters: &mut LaneCounters,
     ) -> LaneOutcome {
@@ -977,12 +884,7 @@ impl SaScratch {
                     // reject, so caching it here loses nothing.
                     let cand = self.total(fb + dfb, fc + dfc);
                     let delta = cand - cost;
-                    let acc = if quantized {
-                        table.accept_quantized(delta, temp, rng, counters)
-                    } else {
-                        table.accept_lossless(delta, temp, rng, counters)
-                    };
-                    if acc {
+                    if table.accept_lossless(delta, temp, rng, counters) {
                         if occ == NONE {
                             if cur != NONE {
                                 self.task_at[cur as usize] = NONE;
@@ -1046,29 +948,6 @@ impl SaScratch {
         }
     }
 
-    /// Fills the `f32` table copies from the loaded `f64` tables.
-    fn fill_f32(&mut self) {
-        self.lv32.clear();
-        self.lv32.extend(self.lv.iter().map(|&v| v as f32));
-        self.cc32.clear();
-        self.cc32.extend(self.cc.iter().map(|&v| v as f32));
-    }
-
-    /// [`SaScratch::raw_full`] over the `f32` tables, so the turbo
-    /// lane's running sums start from the same values its deltas are
-    /// priced in.
-    fn raw_full32(&self) -> (f64, f64) {
-        let mut fb = 0.0;
-        let mut fc = 0.0;
-        for (t, &pr) in self.proc_of.iter().enumerate() {
-            if pr != NONE {
-                fb -= self.lv32[t] as f64;
-                fc += self.cc32[t * self.p + pr as usize] as f64;
-            }
-        }
-        (fb, fc)
-    }
-
     /// Runs the **turbo** lane's annealing loop on the loaded packet —
     /// the certified-lossy counterpart of [`SaScratch::anneal_loaded`].
     ///
@@ -1083,52 +962,37 @@ impl SaScratch {
     ///   instead of redrawing (bias `< p/2⁶⁴`: immeasurable);
     /// * acceptance is the no-fallback midpoint threshold
     ///   ([`AcceptTable::turbo_threshold`]) on a per-temperature-step
-    ///   precomputed `1/T` — zero `exp()` on the hot path
-    ///   ([`TurboTuning::midpoint_accept`]);
+    ///   precomputed `1/T` — zero `exp()` on the hot path;
     /// * the eq. 6 normalization is folded into two precomputed
     ///   multipliers (`w_b/ΔF_b`, `w_c/ΔF_c`), removing both per-move
-    ///   divisions;
-    /// * cost tables are optionally `f32` ([`TurboTuning::f32_tables`])
-    ///   with `f64` accumulators.
+    ///   divisions.
     ///
-    /// `rng` is whatever stream the caller chose —
-    /// [`crate::rng_stream::CounterRng`] in the shipped configuration
-    /// ([`TurboTuning::counter_rng`]), the sequential generator under
-    /// attribution runs. Deterministic per `(rng stream, params)`;
-    /// certified against the exact lane statistically (see
+    /// `rng` is whatever stream the caller chose;
+    /// [`crate::sa::SaScheduler`] passes a per-packet
+    /// [`crate::rng_stream::CounterRng`]. Deterministic per `(rng
+    /// stream, params)`; certified against the exact lane
+    /// statistically (see
     /// `tests/sa_lane_turbo.rs` and `results/LANE_EQUIV.json`), never
     /// bitwise.
     pub fn anneal_turbo<R: RngCore + ?Sized>(
         &mut self,
         params: &AnnealParams,
         rng: &mut R,
-        tuning: TurboTuning,
         want_trace: bool,
         counters: &mut LaneCounters,
     ) -> LaneOutcome {
-        // Monomorphize the hot loop on the per-move toggles: the
-        // branches are perfectly predictable, but keeping them out of
-        // the loop body entirely frees issue slots and lets the
-        // `TRACE = false` instantiations drop the sample bookkeeping
-        // at compile time.
-        match (tuning.f32_tables, tuning.midpoint_accept, want_trace) {
-            (true, true, false) => self.turbo_core::<R, true, true, false>(params, rng, counters),
-            (true, true, true) => self.turbo_core::<R, true, true, true>(params, rng, counters),
-            (true, false, false) => self.turbo_core::<R, true, false, false>(params, rng, counters),
-            (true, false, true) => self.turbo_core::<R, true, false, true>(params, rng, counters),
-            (false, true, false) => self.turbo_core::<R, false, true, false>(params, rng, counters),
-            (false, true, true) => self.turbo_core::<R, false, true, true>(params, rng, counters),
-            (false, false, false) => {
-                self.turbo_core::<R, false, false, false>(params, rng, counters)
-            }
-            (false, false, true) => self.turbo_core::<R, false, false, true>(params, rng, counters),
+        // Monomorphize on tracing so the untraced loop drops the
+        // sample bookkeeping at compile time.
+        if want_trace {
+            self.turbo_core::<R, true>(params, rng, counters)
+        } else {
+            self.turbo_core::<R, false>(params, rng, counters)
         }
     }
 
     /// The monomorphized turbo loop behind [`SaScratch::anneal_turbo`]
-    /// (`F32` = `f32` cost tables, `MID` = midpoint acceptance,
-    /// `TRACE` = record per-move samples).
-    fn turbo_core<R: RngCore + ?Sized, const F32: bool, const MID: bool, const TRACE: bool>(
+    /// (`TRACE` = record per-move samples).
+    fn turbo_core<R: RngCore + ?Sized, const TRACE: bool>(
         &mut self,
         params: &AnnealParams,
         rng: &mut R,
@@ -1138,19 +1002,12 @@ impl SaScratch {
         let p = self.p;
         assert!(n > 0 && p > 0, "empty packet");
         let table = accept_table(params.acceptance);
-        if F32 {
-            self.fill_f32();
-        }
 
         match params.init {
             InitRule::Random => self.saturate_random(rng),
             InitRule::InOrder => self.saturate_in_order(),
         }
-        let (mut fb, mut fc) = if F32 {
-            self.raw_full32()
-        } else {
-            self.raw_full()
-        };
+        let (mut fb, mut fc) = self.raw_full();
         // Eq. 6 with the divisions hoisted: total = kb·F_b + kc·F_c.
         let kb = self.wb / self.range_b;
         let kc = self.wc / self.range_c;
@@ -1211,11 +1068,7 @@ impl SaScratch {
                         r + usize::from(r as u32 >= cur)
                     };
                     let occ = self.task_at[proc];
-                    let (dfb, dfc) = if F32 {
-                        self.price_move32(task, cur, proc, occ)
-                    } else {
-                        self.price_move(task, cur, proc, occ)
-                    };
+                    let (dfb, dfc) = self.price_move(task, cur, proc, occ);
                     // Lossy shortcut: price the delta directly instead
                     // of re-deriving it from two full-cost sums (the
                     // exact lane's association; numerically different,
@@ -1224,7 +1077,7 @@ impl SaScratch {
                     let acc = if frozen {
                         n_shortcut += 1;
                         delta < 0.0
-                    } else if MID {
+                    } else {
                         // Unconditional draw: certain decisions burn a
                         // word the `f64` rule would skip, but the draw
                         // no longer waits on the threshold compare
@@ -1237,8 +1090,6 @@ impl SaScratch {
                         n_shortcut += certain;
                         n_table += 1 - certain;
                         (rng.next_u64() >> 11) < tb
-                    } else {
-                        table.accept_lossless(delta, temp, rng, counters)
                     };
                     if acc {
                         if occ == NONE {
@@ -1341,40 +1192,6 @@ impl SaScratch {
             }
         }
     }
-
-    /// [`SaScratch::price_move`] over the `f32` tables (`f64` deltas).
-    #[inline]
-    fn price_move32(&self, task: usize, cur: u32, proc: usize, occ: u32) -> (f64, f64) {
-        let p = self.p;
-        if occ == NONE {
-            let (old_fb, old_fc) = if cur != NONE {
-                (
-                    -(self.lv32[task] as f64),
-                    self.cc32[task * p + cur as usize] as f64,
-                )
-            } else {
-                (0.0, 0.0)
-            };
-            (
-                -(self.lv32[task] as f64) - old_fb,
-                self.cc32[task * p + proc] as f64 - old_fc,
-            )
-        } else {
-            let other = occ as usize;
-            if cur != NONE {
-                let f = cur as usize;
-                let fc_before = self.cc32[task * p + f] as f64 + self.cc32[other * p + proc] as f64;
-                let fc_after = self.cc32[task * p + proc] as f64 + self.cc32[other * p + f] as f64;
-                (0.0, fc_after - fc_before)
-            } else {
-                let fb_before = -(self.lv32[other] as f64);
-                let fb_after = -(self.lv32[task] as f64);
-                let fc_before = self.cc32[other * p + proc] as f64;
-                let fc_after = self.cc32[task * p + proc] as f64;
-                (fb_after - fb_before, fc_after - fc_before)
-            }
-        }
-    }
 }
 
 /// Shared configuration for [`anneal_packet_lane`].
@@ -1397,9 +1214,8 @@ pub struct LaneRun<'a> {
 /// Runs one packet through the selected lane and returns an exact-lane
 /// compatible [`PacketOutcome`] — the single entry point the equality
 /// oracle tests drive for every lane. The turbo arm runs on the
-/// caller's `rng` as-is; the counter-based stream swap
-/// ([`TurboTuning::counter_rng`]) happens one level up, in
-/// [`crate::sa::SaScheduler`].
+/// caller's `rng` as-is; the per-packet counter-based stream is chosen
+/// one level up, in [`crate::sa::SaScheduler`].
 pub fn anneal_packet_lane<R: Rng + ?Sized>(
     packet: &AnnealingPacket,
     run: &LaneRun<'_>,
@@ -1412,33 +1228,13 @@ pub fn anneal_packet_lane<R: Rng + ?Sized>(
             let cm = CostModel::new(packet, run.wb, run.wc, run.balance);
             crate::annealer::anneal_packet(packet, &cm, run.params, rng, run.want_trace)
         }
-        SaLane::Turbo => {
-            scratch.load_packet(packet, run.wb, run.wc, run.balance);
-            let out = scratch.anneal_turbo(
-                run.params,
-                rng,
-                TurboTuning::default(),
-                run.want_trace,
-                counters,
-            );
-            PacketOutcome {
-                assignment: scratch.assignments().collect(),
-                iterations: out.iterations,
-                moves: out.moves,
-                accepted: out.accepted,
-                final_cost: out.final_cost,
-                trace: out.trace,
-            }
-        }
         lane => {
             scratch.load_packet(packet, run.wb, run.wc, run.balance);
-            let out = scratch.anneal_loaded(
-                run.params,
-                rng,
-                lane == SaLane::Quantized,
-                run.want_trace,
-                counters,
-            );
+            let out = if lane == SaLane::Turbo {
+                scratch.anneal_turbo(run.params, rng, run.want_trace, counters)
+            } else {
+                scratch.anneal_loaded(run.params, rng, run.want_trace, counters)
+            };
             PacketOutcome {
                 assignment: scratch.assignments().collect(),
                 iterations: out.iterations,
@@ -1616,50 +1412,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_rate_tracks_exact_probability() {
-        // Statistical oracle for the lossy lane: over many draws the
-        // midpoint threshold's acceptance rate matches the true
-        // Boltzmann probability to bucket-width accuracy.
-        for rule in rules() {
-            let t = accept_table(rule);
-            for &x in &[0.05, 0.3, 0.9, 2.0, 5.0] {
-                let p_true = acceptance_probability(rule, x, 1.0);
-                let mut c = LaneCounters::default();
-                let mut r = StdRng::seed_from_u64(77);
-                let trials = 20_000;
-                let hits = (0..trials)
-                    .filter(|_| t.accept_quantized(x, 1.0, &mut r, &mut c))
-                    .count();
-                let rate = hits as f64 / trials as f64;
-                assert!(
-                    (rate - p_true).abs() < 0.02,
-                    "{rule:?} x={x}: rate {rate} vs p {p_true}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_consumes_the_same_number_of_draws() {
-        // Even when decisions differ, the lossy lane must keep the
-        // stream position of the exact lane (one draw per in-range
-        // proposal, none for shortcuts).
-        for rule in rules() {
-            let t = accept_table(rule);
-            for &x in &[-50.0, -1.0, 0.0, 0.5, 3.0, 39.0, 1000.0] {
-                let mut c = LaneCounters::default();
-                let mut r1 = StdRng::seed_from_u64(5);
-                let mut r2 = StdRng::seed_from_u64(5);
-                for _ in 0..32 {
-                    accept(rule, x, 1.0, &mut r1);
-                    t.accept_quantized(x, 1.0, &mut r2, &mut c);
-                }
-                assert_eq!(r1.next_u64(), r2.next_u64(), "{rule:?} x={x}");
-            }
-        }
-    }
-
-    #[test]
     fn lane_names_round_trip() {
         for lane in SaLane::ALL {
             assert_eq!(lane.name().parse::<SaLane>(), Ok(lane));
@@ -1672,14 +1424,15 @@ mod tests {
         assert_eq!(SaLane::default(), SaLane::DeltaTable);
         assert!(SaLane::Exact.is_lossless());
         assert!(SaLane::DeltaTable.is_lossless());
-        assert!(!SaLane::Quantized.is_lossless());
         assert!(!SaLane::Turbo.is_lossless());
-        assert_eq!(SaLane::name_list(), "exact, delta-table, quantized, turbo");
+        assert_eq!(SaLane::name_list(), "exact, delta-table, turbo");
         let err = "bogus".parse::<SaLane>().unwrap_err();
         assert_eq!(
             err,
-            "unknown SA lane 'bogus' (expected one of: exact, delta-table, quantized, turbo)"
+            "unknown SA lane 'bogus' (expected one of: exact, delta-table, turbo)"
         );
+        // The removed lossy lane no longer parses.
+        assert!("quantized".parse::<SaLane>().is_err());
     }
 
     /// Pins the midpoint-threshold invariant documented on `Bucket::mid`
@@ -1809,7 +1562,7 @@ mod tests {
             assert!(!t.accept_turbo(0.5, 0.0, &mut r, &mut c));
             assert_eq!(r.next_u64(), before.next_u64());
             // Statistical agreement with the exact probability at a few
-            // mid-range points (same bound as the quantized lane).
+            // mid-range points, to within 2 percentage points.
             for &x in &[0.1, 0.7, 2.5] {
                 let p_true = acceptance_probability(rule, x, 1.0);
                 let mut r = StdRng::seed_from_u64(123);
@@ -1846,13 +1599,7 @@ mod tests {
             let mut counters = LaneCounters::default();
             scratch.load_packet(&packet, 0.5, 0.5, BalanceRange::Full);
             let mut rng = CounterRng::new(seed, stream);
-            let out = scratch.anneal_turbo(
-                &params,
-                &mut rng,
-                TurboTuning::default(),
-                false,
-                &mut counters,
-            );
+            let out = scratch.anneal_turbo(&params, &mut rng, false, &mut counters);
             assert_eq!(counters.fallback, 0, "turbo never falls back");
             (out.final_cost, scratch.proc_of.clone(), out.accepted)
         };

@@ -87,7 +87,7 @@ pub use cpop::CpopScheduler;
 pub use eval::{level_dispatch_order, replay_mapping, Evaluator, EvaluatorKind};
 pub use heft::HeftScheduler;
 pub use hlf::HlfScheduler;
-pub use lane::{accept_table, AcceptTable, LaneCounters, SaLane, SaScratch, TurboTuning};
+pub use lane::{accept_table, AcceptTable, LaneCounters, SaLane, SaScratch};
 pub use mct::MctScheduler;
 pub use parallel::{PoolStats, ScratchPool};
 pub use rng_stream::{stream_draw, CounterRng};

@@ -11,7 +11,7 @@ use crate::annealer::{anneal_packet, AnnealParams, InitRule};
 use crate::boltzmann::AcceptanceRule;
 use crate::cooling::CoolingSchedule;
 use crate::cost::{BalanceRange, CostModel};
-use crate::lane::{LaneCounters, SaLane, SaScratch, TurboTuning};
+use crate::lane::{LaneCounters, SaLane, SaScratch};
 use crate::packet::AnnealingPacket;
 use crate::rng_stream::CounterRng;
 use crate::trace::PacketTrace;
@@ -48,9 +48,6 @@ pub struct SaConfig {
     /// Which inner-loop implementation runs the packets. The default
     /// [`SaLane::DeltaTable`] is bit-identical to [`SaLane::Exact`].
     pub lane: SaLane,
-    /// Attribution toggles for the turbo lane's lossy ingredients
-    /// (ignored by the other lanes). The default enables all three.
-    pub turbo_tuning: TurboTuning,
 }
 
 impl Default for SaConfig {
@@ -69,7 +66,6 @@ impl Default for SaConfig {
             seed: 42,
             record_traces: false,
             lane: SaLane::default(),
-            turbo_tuning: TurboTuning::default(),
         }
     }
 }
@@ -278,63 +274,6 @@ impl OnlineScheduler for SaScheduler {
                         .map(|&(t, p)| (packet.tasks[t], packet.procs[p])),
                 );
             }
-            SaLane::Turbo => {
-                self.scratch.load_epoch(
-                    ctx,
-                    levels,
-                    self.cfg.wb,
-                    self.cfg.wc,
-                    self.cfg.balance_range,
-                );
-                let mut counters = LaneCounters::default();
-                let tuning = self.cfg.turbo_tuning;
-                // Packet index = counter-RNG stream id: every packet
-                // gets an independent, order-free draw stream keyed by
-                // (seed, packet) — the sequential `self.rng` is not
-                // touched, so its state never depends on packet count.
-                let lo = if tuning.counter_rng {
-                    let mut crng = CounterRng::new(self.cfg.seed, self.stats.packets);
-                    let lo = self.scratch.anneal_turbo(
-                        &params,
-                        &mut crng,
-                        tuning,
-                        self.cfg.record_traces,
-                        &mut counters,
-                    );
-                    self.stats.lane_rng_draws += crng.draws();
-                    lo
-                } else {
-                    self.scratch.anneal_turbo(
-                        &params,
-                        &mut self.rng,
-                        tuning,
-                        self.cfg.record_traces,
-                        &mut counters,
-                    )
-                };
-
-                self.stats.packets += 1;
-                self.stats.iterations += lo.iterations;
-                self.stats.moves += lo.moves;
-                self.stats.accepted += lo.accepted;
-                self.stats.candidates += ctx.ready.len() as u64;
-                self.stats.idle += ctx.idle.len() as u64;
-                self.stats.lane_shortcut += counters.shortcut;
-                self.stats.lane_table += counters.table;
-                self.stats.lane_fallback += counters.fallback;
-                if let Some(mut tr) = lo.trace {
-                    tr.packet = self.stats.packets - 1;
-                    self.traces.push(tr);
-                }
-                let before = out.len();
-                let (tasks, procs) = (self.scratch.task_ids(), self.scratch.proc_ids());
-                out.extend(
-                    self.scratch
-                        .assignments()
-                        .map(|(t, p)| (tasks[t], procs[p])),
-                );
-                self.stats.assigned += (out.len() - before) as u64;
-            }
             lane => {
                 self.scratch.load_epoch(
                     ctx,
@@ -344,13 +283,29 @@ impl OnlineScheduler for SaScheduler {
                     self.cfg.balance_range,
                 );
                 let mut counters = LaneCounters::default();
-                let lo = self.scratch.anneal_loaded(
-                    &params,
-                    &mut self.rng,
-                    lane == SaLane::Quantized,
-                    self.cfg.record_traces,
-                    &mut counters,
-                );
+                let lo = if lane == SaLane::Turbo {
+                    // Packet index = counter-RNG stream id: every packet
+                    // gets an independent, order-free draw stream keyed
+                    // by (seed, packet) — the sequential `self.rng` is
+                    // not touched, so its state never depends on packet
+                    // count.
+                    let mut crng = CounterRng::new(self.cfg.seed, self.stats.packets);
+                    let lo = self.scratch.anneal_turbo(
+                        &params,
+                        &mut crng,
+                        self.cfg.record_traces,
+                        &mut counters,
+                    );
+                    self.stats.lane_rng_draws += crng.draws();
+                    lo
+                } else {
+                    self.scratch.anneal_loaded(
+                        &params,
+                        &mut self.rng,
+                        self.cfg.record_traces,
+                        &mut counters,
+                    )
+                };
 
                 self.stats.packets += 1;
                 self.stats.iterations += lo.iterations;

@@ -215,9 +215,6 @@ pub fn static_sa(
                 SaLane::DeltaTable => {
                     table.accept_lossless(delta, temp, &mut rng, &mut lane_counters)
                 }
-                SaLane::Quantized => {
-                    table.accept_quantized(delta, temp, &mut rng, &mut lane_counters)
-                }
                 // Acceptance-only turbo: the no-fallback midpoint rule
                 // on the scheduler's sequential stream. Draw counts
                 // diverge from the other lanes (certain decisions skip
@@ -432,9 +429,9 @@ mod tests {
         assert_eq!(exact.lane_counters.decisions(), 0);
         assert_eq!(fast.lane_counters.decisions(), fast.proposed);
         // The lossy lane still produces a valid schedule.
-        let quant = run(SaLane::Quantized);
-        quant.result.audit(&g).unwrap();
-        assert_eq!(quant.lane_counters.decisions(), quant.proposed);
+        let turbo = run(SaLane::Turbo);
+        turbo.result.audit(&g).unwrap();
+        assert_eq!(turbo.lane_counters.decisions(), turbo.proposed);
     }
 
     #[test]

@@ -7,6 +7,12 @@ use crate::error::GraphError;
 use crate::ids::TaskId;
 use crate::units::Work;
 
+/// Upper bound on Σ task loads + Σ edge weights, in ns (2⁵³ ≈ 104
+/// days). Every path sum then fits in `u64` and converts to `f64`
+/// exactly; [`TaskGraphBuilder::build`] rejects larger graphs with
+/// [`GraphError::TooMuchWork`].
+pub const MAX_TOTAL_WORK: Work = 1 << 53;
+
 /// Builds a [`TaskGraph`] incrementally, validating as it goes.
 ///
 /// `add_task` assigns dense ids in insertion order. `add_edge` rejects
@@ -102,18 +108,24 @@ impl TaskGraphBuilder {
                     .iter_mut()
                     .find(|(f, t, _)| *f == from && *t == to)
                     .expect("duplicate edge must exist");
-                e.2 += weight;
+                e.2 = e.2.saturating_add(weight);
                 Ok(())
             }
             other => other,
         }
     }
 
-    /// Validates acyclicity and freezes the graph.
+    /// Validates acyclicity and the [`MAX_TOTAL_WORK`] bound, and
+    /// freezes the graph.
     pub fn build(self) -> Result<TaskGraph, GraphError> {
         let n = self.loads.len();
         if n == 0 {
             return Err(GraphError::Empty);
+        }
+        let total = self.loads.iter().map(|&l| u128::from(l)).sum::<u128>()
+            + self.edges.iter().map(|e| u128::from(e.2)).sum::<u128>();
+        if total > u128::from(MAX_TOTAL_WORK) {
+            return Err(GraphError::TooMuchWork { total });
         }
 
         // Degree counting for CSR construction.
@@ -266,6 +278,31 @@ mod tests {
             Err(GraphError::Cycle(_)) => {}
             other => panic!("expected cycle error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn total_work_is_capped_at_2_pow_53() {
+        let build = |load: Work, weight: Work| {
+            let mut b = TaskGraphBuilder::new();
+            let a = b.add_task(load);
+            let c = b.add_task(1);
+            b.add_or_merge_edge(a, c, weight).unwrap();
+            b.add_or_merge_edge(a, c, weight).unwrap();
+            b.build()
+        };
+        // Exactly at the cap: accepted.
+        assert!(build(MAX_TOTAL_WORK - 11, 5).is_ok());
+        assert_eq!(
+            build(MAX_TOTAL_WORK - 10, 5).err(),
+            Some(GraphError::TooMuchWork {
+                total: u128::from(MAX_TOTAL_WORK) + 1
+            })
+        );
+        // A merged edge weight saturates instead of wrapping.
+        assert!(matches!(
+            build(1, Work::MAX),
+            Err(GraphError::TooMuchWork { .. })
+        ));
     }
 
     #[test]

@@ -17,6 +17,13 @@ pub enum GraphError {
     Cycle(TaskId),
     /// The graph has no tasks.
     Empty,
+    /// Σ task loads + Σ edge weights exceeds
+    /// [`MAX_TOTAL_WORK`](crate::builder::MAX_TOTAL_WORK) ns, so a path
+    /// sum could wrap in `u64` or lose precision as an `f64` cost.
+    TooMuchWork {
+        /// The offending sum, in ns (wide enough never to wrap itself).
+        total: u128,
+    },
     /// A parse error from the plain-text format, with a line number.
     Parse {
         /// 1-based line number of the offending line.
@@ -34,6 +41,10 @@ impl fmt::Display for GraphError {
             GraphError::DuplicateEdge(a, b) => write!(f, "duplicate edge {a} -> {b}"),
             GraphError::Cycle(t) => write!(f, "precedence cycle through task {t}"),
             GraphError::Empty => write!(f, "task graph has no tasks"),
+            GraphError::TooMuchWork { total } => write!(
+                f,
+                "task loads plus edge weights total {total} ns, above the 2^53 ns limit"
+            ),
             GraphError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
         }
     }
@@ -59,6 +70,10 @@ mod tests {
             "precedence cycle through task t3"
         );
         assert_eq!(GraphError::Empty.to_string(), "task graph has no tasks");
+        assert_eq!(
+            GraphError::TooMuchWork { total: 1 << 54 }.to_string(),
+            "task loads plus edge weights total 18014398509481984 ns, above the 2^53 ns limit"
+        );
         let p = GraphError::Parse {
             line: 7,
             msg: "bad token".into(),

@@ -326,6 +326,19 @@ mod tests {
     }
 
     #[test]
+    fn rejects_loads_whose_sum_would_wrap() {
+        // Each load fits in u64, but their sum does not: the graph must
+        // fail to build instead of scheduling with wrapped times.
+        let text = "task 0 18446744073709551000\ntask 1 18446744073709551000\nedge 0 1 5\n";
+        assert_eq!(
+            from_text(text).unwrap_err(),
+            GraphError::TooMuchWork {
+                total: 2 * 18446744073709551000u128 + 5
+            }
+        );
+    }
+
+    #[test]
     fn meta_roundtrip() {
         let g = sample();
         let mut meta = TextMeta::new();

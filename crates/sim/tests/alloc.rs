@@ -281,10 +281,9 @@ fn delta_table_sa_lane_steady_state_allocates_nothing() {
 fn turbo_sa_lane_steady_state_allocates_nothing() {
     // The turbo lane adds counter-based RNG streams (a fixed-size
     // two-word state in `CounterRng` — draws must stay allocation
-    // free) and `f32` cost tables (`SaScratch` grow-only buffers,
-    // filled per packet). Once warm, the lossy lane must be exactly as
-    // allocation-free as the delta-table lane it replaces in the fast
-    // portfolio.
+    // free) on top of the delta-table lane's grow-only `SaScratch`
+    // buffers. Once warm, the lossy lane must be exactly as
+    // allocation-free as the delta-table lane.
     let g1 = sample_graph(9);
     let g2 = sample_graph(15);
     let t1 = hypercube(3);

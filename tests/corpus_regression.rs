@@ -23,9 +23,8 @@ use anneal_arena::{
 use anneal_core::SaLane;
 
 /// The corpus baseline was frozen under the delta-table RNG stream, so
-/// the replay must pin that lane: `Portfolio::fast()` now defaults to
-/// the (lossy) turbo lane, whose stream the recorded makespans do not
-/// encode. Turbo quality on the corpus is gated separately, in
+/// the replay pins that lane explicitly rather than relying on the
+/// default. Turbo quality on the corpus is gated separately, in
 /// `tests/sa_lane_turbo.rs`.
 fn baseline_portfolio() -> Portfolio {
     Portfolio::fast_with_lane(SaLane::DeltaTable)

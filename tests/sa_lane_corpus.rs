@@ -1,21 +1,18 @@
 //! Corpus quality gate for the SA lanes (delta-table fast lane PR).
 //!
 //! On every frozen `corpus/sa-*.tgi` instance, at an equal annealing
-//! budget and identical seed:
-//!
-//! * the **delta-table** lane must reproduce the **exact** lane
-//!   bit-for-bit — same makespan, same placement, same static-SA
-//!   mapping and accept counts (the lossless-oracle contract,
-//!   see `docs/ARCHITECTURE.md`, "SA lanes");
-//! * the **quantized** lane (lossy, opt-in) must never regress the
-//!   final makespan beyond the corpus regression tolerance.
+//! budget and identical seed, the **delta-table** lane must reproduce
+//! the **exact** lane bit-for-bit — same makespan, same placement, same
+//! static-SA mapping and accept counts (the lossless-oracle contract,
+//! see `docs/ARCHITECTURE.md`, "SA lanes"). The lossy `turbo` lane is
+//! gated statistically in `tests/sa_lane_turbo.rs`.
 //!
 //! Both the staged scheduler ([`SaScheduler`] inside [`simulate`]) and
 //! the whole-graph annealer ([`static_sa`]) are gated, because the two
 //! consume the lane through different code paths (`lane::SaScratch`
 //! packet replay vs `lane::AcceptTable` acceptance only).
 
-use anneal_arena::{load_corpus_dir, regression_seed, FrozenInstance, REGRESSION_TOLERANCE};
+use anneal_arena::{load_corpus_dir, regression_seed, FrozenInstance};
 use anneal_core::static_sa::{static_sa, StaticSaConfig};
 use anneal_core::{SaConfig, SaLane, SaScheduler};
 use anneal_sim::{simulate, SimResult};
@@ -60,34 +57,6 @@ fn delta_table_lane_matches_exact_bitwise_on_the_frozen_sa_corpus() {
 }
 
 #[test]
-fn quantized_lane_stays_within_corpus_tolerance_on_staged_sa() {
-    // One flipped accept decision re-routes every later packet, so a
-    // lossy lane's per-instance deviation is trajectory noise, not a
-    // bounded pricing error. Gate it twice: a loose per-instance
-    // ceiling (no instance may blow up) and the standard corpus
-    // tolerance on the corpus-mean ratio (no systematic regression).
-    let mut ratios = Vec::new();
-    for fi in sa_corpus() {
-        let exact = run_staged(&fi, SaLane::Exact);
-        let quant = run_staged(&fi, SaLane::Quantized);
-        let ratio = quant.makespan as f64 / exact.makespan as f64;
-        assert!(
-            ratio <= 1.15,
-            "{}: quantized lane blew up ({} vs exact {}, ratio {ratio:.3})",
-            fi.name(),
-            quant.makespan,
-            exact.makespan
-        );
-        ratios.push(ratio);
-    }
-    let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
-    assert!(
-        mean <= REGRESSION_TOLERANCE,
-        "quantized lane regressed on corpus average: mean ratio {mean:.3}"
-    );
-}
-
-#[test]
 fn static_sa_lanes_hold_the_same_contract_on_the_frozen_sa_corpus() {
     for fi in sa_corpus() {
         let inst = fi.to_instance().expect("frozen instance replays");
@@ -126,15 +95,6 @@ fn static_sa_lanes_hold_the_same_contract_on_the_frozen_sa_corpus() {
             delta.proposed,
             "{}",
             fi.name()
-        );
-
-        let quant = run(SaLane::Quantized);
-        let limit = (exact.result.makespan as f64 * REGRESSION_TOLERANCE).ceil() as u64;
-        assert!(
-            quant.result.makespan <= limit,
-            "{}: quantized static SA regressed beyond tolerance ({} > {limit})",
-            fi.name(),
-            quant.result.makespan
         );
     }
 }
