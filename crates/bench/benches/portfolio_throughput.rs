@@ -1,4 +1,4 @@
-//! Campaign-cell throughput: the general engine vs the fast path.
+//! Campaign-cell throughput: `simulate()` vs the fast path.
 //!
 //! A campaign cell is one `(scheduler, instance)` evaluation, and the
 //! whole portfolio subsystem (tournaments, 1000-instance campaigns,
@@ -9,8 +9,8 @@
 //! both evaluation paths:
 //!
 //! * `general` — [`PortfolioEntry::evaluate`] on the **exact SA
-//!   lane**: the full engine with route-table build, Gantt recording,
-//!   statistics, an allocated `SimResult` per cell, and the original
+//!   lane**: `simulate()`, the kernel with a route-table build, Gantt
+//!   recording, statistics, an allocated `SimResult` per cell, and the original
 //!   per-move `exp()` annealing loop (what every cell paid before the
 //!   fast path and the delta-table lane existed);
 //! * `fast` — [`PortfolioEntry::evaluate_makespan`] on the

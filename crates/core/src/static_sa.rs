@@ -122,7 +122,7 @@ impl StaticSaOutcome {
 
     /// Accumulates this run into `r` (`static_sa.*` counters, plus the
     /// simulation counters of the winning replay via
-    /// [`RunObs::record_into`](anneal_sim::RunObs::record_into)).
+    /// [`KernelRunStats::record_into`](anneal_sim::KernelRunStats::record_into)).
     pub fn record_into(&self, r: &mut dyn anneal_obs::Recorder) {
         r.add("static_sa.evaluations", self.evaluations);
         r.add("static_sa.iterations", self.iterations);

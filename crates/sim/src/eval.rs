@@ -53,8 +53,9 @@
 use anneal_graph::{TaskGraph, TaskId};
 use anneal_topology::{CommParams, ProcId, RouteTable, Topology};
 
-use crate::engine::{SimConfig, SimError};
-use crate::fastpath::{Driver, FlatRoutes, HeapEv, KernelCtx, KernelState, MsgMeta, Oh, NONE};
+use crate::fastpath::{
+    Driver, FlatRoutes, HeapEv, KernelCtx, KernelState, MsgMeta, Oh, SimConfig, SimError, NONE,
+};
 use crate::SimTime;
 
 /// Always-on counters of a [`FixedEval`]'s incremental machinery,

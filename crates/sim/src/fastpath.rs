@@ -1,70 +1,131 @@
-//! The shared fast-path scheduling kernel.
+//! The discrete-event scheduling kernel: the workspace's one event loop.
 //!
-//! PR 4's incremental evaluator ([`FixedEval`](crate::FixedEval))
-//! proved that a specialized re-implementation of the discrete-event
-//! engine — packed 16-byte events in a 4-ary heap, per-processor
-//! compute-completion registers, precomputed all-pairs routes, and
-//! fully reused buffers — prices fixed-mapping schedules several times
-//! faster than [`simulate`](crate::simulate) while staying
-//! bit-identical. But that machinery lived *inside* `eval.rs`, welded
-//! to the fixed-mapping dispatch rule, so every other evaluation in the
-//! workspace (heuristic portfolio entries, tournament and campaign
-//! cells, adversarial-search candidates) still paid the general engine
-//! path: a fresh route table, a fresh `BinaryHeap`, Gantt spans,
-//! statistics and a fully allocated [`SimResult`](crate::SimResult) per
-//! call — all to read one number.
+//! `KernelState` + the `Driver` trait (crate-private) hold the engine
+//! state and event loop — packed 16-byte events in a 4-ary heap,
+//! per-processor compute-completion registers, precomputed all-pairs
+//! routes, fully reused buffers — parameterized over the *dispatch
+//! policy* and over optional recording hooks. Three drivers plug in:
 //!
-//! This module extracts the kernel into a shared home with two clients:
-//!
-//! * `KernelState` + the `Driver` trait (crate-private) — the engine
-//!   state and event loop,
-//!   parameterized over the *dispatch policy*. `FixedEval` plugs in its
-//!   waiting-list dispatch (and its snapshot hooks); the fast path
-//!   plugs in any [`OnlineScheduler`] behind the same epoch contract
-//!   the general engine uses. There is exactly **one** implementation
-//!   of the event heap, the route flattening and the σ/τ/transfer
-//!   plumbing in the workspace.
-//! * [`SimScratch`] + [`simulate_makespan`] — the public fast-path
-//!   entry point: when a caller needs only the makespan (no Gantt, no
-//!   trace, no statistics), it runs the kernel out of a reusable
-//!   scratch instead of the general engine. Makespans are
-//!   **bit-identical** to [`simulate`](crate::simulate) — same events,
-//!   same tie-breaking, same σ/τ preemption and channel-FIFO
-//!   contention, and the scheduler observes byte-for-byte the same
-//!   [`EpochContext`] sequence — enforced by the proptest equivalence
-//!   suite in `tests/proptests.rs` and the allocation-regression test
-//!   in `tests/alloc.rs`.
+//! * [`simulate`] adapts any [`OnlineScheduler`] and records the full
+//!   [`SimResult`] (Gantt spans, busy time, communication and packet
+//!   statistics) through the hooks;
+//! * [`simulate_makespan`] adapts the same scheduler with the hooks
+//!   left as no-ops, for the thousands of evaluations (tournament and
+//!   campaign cells, adversarial-search candidates) that read only the
+//!   makespan. It runs out of a reusable [`SimScratch`], so the two
+//!   entry points agree on every makespan and error by construction;
+//! * [`FixedEval`](crate::FixedEval) plugs in its waiting-list
+//!   dispatch and its snapshot hooks.
 //!
 //! A [`SimScratch`] additionally caches route tables keyed by the
 //! topology's channel matrix, so a worker thread sweeping tournament
 //! cells across a rotation of host architectures rebuilds each route
 //! table once, not once per cell. After warm-up, evaluating an
 //! already-seen `(graph size, topology)` shape performs **zero heap
-//! allocation**.
+//! allocation** (pinned by `tests/alloc.rs`).
 //!
-//! The one intentional divergence from the general engine: stale
-//! (preempted) completion timers never enter the event queue here, so
-//! the `max_events` safety counter advances slightly slower than the
-//! engine's on preemption-heavy runs. `SimError::EventLimit` can
-//! therefore fire at different points; every other error and every
-//! makespan agrees.
+//! Timing model (the paper's):
+//!
+//! * task execution occupies its processor for `r_i` ns (one task at a
+//!   time per processor, plus message overheads that preempt it),
+//! * a message from predecessor `p` (on processor `r`) to task `t` (just
+//!   assigned to processor `q ≠ r`) is initiated at assignment time —
+//!   every predecessor of a *ready* task has already finished, so the
+//!   data exists; the kernel then plays out
+//!   `σ on r → transfer w per hop → τ on every intermediate → τ on q`,
+//! * each channel carries one message at a time (FIFO), giving link
+//!   contention,
+//! * the first scheduling epoch is at time 0 and later epochs fire after
+//!   every batch of task completions at the same instant ("successive
+//!   epochs occur when one or more processors become idle").
 
 use std::collections::VecDeque;
 
 use anneal_graph::{TaskGraph, TaskId};
 use anneal_topology::{CommParams, ProcId, RouteTable, Topology};
 
-use crate::engine::{link_occupancy_time, SimConfig, SimError};
+use crate::gantt::{Gantt, Span, SpanKind};
+use crate::result::{CommStats, PacketStats, SimResult};
 use crate::scheduler::{EpochContext, OnlineScheduler};
 use crate::SimTime;
+
+/// Simulation configuration.
+#[derive(Debug, Clone)]
+pub struct SimConfig {
+    /// When `false`, messages are skipped entirely (Table 2's
+    /// "w/o Comm." columns): precedence still holds, data moves free.
+    pub comm_enabled: bool,
+    /// Hard safety cap on processed events.
+    pub max_events: u64,
+}
+
+impl Default for SimConfig {
+    fn default() -> Self {
+        SimConfig {
+            comm_enabled: true,
+            max_events: 200_000_000,
+        }
+    }
+}
+
+/// Simulation failures.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// The topology is disconnected.
+    Disconnected(String),
+    /// The scheduler returned an illegal assignment.
+    InvalidAssignment(String),
+    /// Execution stalled: unfinished tasks but no events and no
+    /// assignments.
+    Deadlock {
+        /// Time of the stall.
+        time: SimTime,
+        /// Ready tasks at the stall.
+        ready: usize,
+        /// Idle processors at the stall.
+        idle: usize,
+    },
+    /// `max_events` exceeded.
+    EventLimit,
+}
+
+impl std::fmt::Display for SimError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SimError::Disconnected(s) => write!(f, "disconnected topology: {s}"),
+            SimError::InvalidAssignment(s) => write!(f, "invalid assignment: {s}"),
+            SimError::Deadlock { time, ready, idle } => write!(
+                f,
+                "deadlock at t={time}: {ready} ready tasks, {idle} idle processors, no events"
+            ),
+            SimError::EventLimit => write!(f, "event limit exceeded"),
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
+/// Helper: interprets a graph edge weight as link-occupancy time.
+///
+/// Edge weights in this project are *already* stored as nanoseconds of
+/// link time (`w = L/BW` precomputed by the workload generators), so
+/// under finite bandwidth they pass through unchanged; free-bandwidth
+/// parameter sets zero them out.
+pub(crate) fn link_occupancy_time(params: &CommParams, w: u64) -> u64 {
+    if params.bandwidth_bps == u64::MAX {
+        0
+    } else {
+        w
+    }
+}
 
 pub(crate) const NONE: u32 = u32::MAX;
 pub(crate) const NOT_RUNNING: SimTime = SimTime::MAX;
 
 /// A heap entry is `(time, rest)` with
 /// `rest = seq << 32 | kind << 30 | arg`: 16 bytes total, ordered by
-/// `(time, seq)` since `seq` occupies the high bits — so pops replay
-/// the engine's insertion-order tie-breaking exactly. `arg` is a
+/// `(time, seq)` since `seq` occupies the high bits — so equal-time
+/// events pop in insertion order. `arg` is a
 /// processor index for `OverheadDone` and a message (edge) id for
 /// `TransferDone`; both fit 30 bits by the assertions at kernel setup.
 /// `seq` is a per-run push counter; it cannot wrap because a run
@@ -89,8 +150,8 @@ pub(crate) fn pack(seq: u64, kind: u64, arg: u32) -> u64 {
 /// tree depth of the resident ~10–40 events and keeps each node's
 /// children in one cache line, which measures materially faster than
 /// `std::collections::BinaryHeap` here. Ordering is the total order on
-/// `(time, seq)` (seq lives in the high bits of `rest`), so pops
-/// reproduce the engine's insertion-order tie-breaking exactly.
+/// `(time, seq)` (seq lives in the high bits of `rest`), so equal-time
+/// events pop in insertion order.
 #[derive(Debug, Default)]
 pub(crate) struct EventHeap {
     v: Vec<HeapEv>,
@@ -178,25 +239,18 @@ impl EventHeap {
     }
 }
 
-/// σ/τ overhead kinds (send, intermediate route, destination receive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OhKind {
-    Send,
-    Route,
-    Receive,
-}
-
+/// A σ/τ overhead: `kind` is `Send`, `Route` or `Receive`, never
+/// `Compute`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Oh {
-    pub(crate) kind: OhKind,
+    pub(crate) kind: SpanKind,
     pub(crate) dur: SimTime,
     pub(crate) msg: u32,
 }
 
-/// Mutable per-processor state (the engine's `Proc`, minus
-/// statistics). Deliberately not `Clone`: snapshots flatten the queues
-/// into shared arenas (`eval.rs`) instead of cloning nested
-/// `VecDeque`s, which keeps snapshot buffers capacity-stable.
+/// Mutable per-processor state. Deliberately not `Clone`: snapshots
+/// flatten the queues into shared arenas (`eval.rs`) instead of cloning
+/// nested `VecDeque`s, which keeps snapshot buffers capacity-stable.
 #[derive(Debug, Default)]
 pub(crate) struct ProcState {
     pub(crate) assigned: u32,
@@ -317,6 +371,13 @@ impl FlatRoutes {
         let pair = src as usize * self.num_procs + dst as usize;
         self.route_chans[self.chan_off[pair] as usize + hop]
     }
+
+    /// Number of hops (channels) on the route from `src` to `dst`.
+    #[inline]
+    pub(crate) fn hops(&self, src: u32, dst: u32) -> u32 {
+        let pair = src as usize * self.num_procs + dst as usize;
+        self.chan_off[pair + 1] - self.chan_off[pair]
+    }
 }
 
 /// The per-run inputs of a kernel run: everything immutable the event
@@ -341,8 +402,13 @@ pub(crate) struct KernelCtx<'a> {
 /// preemption, completion registers); a driver decides **which ready
 /// task each idle processor takes** at an epoch, and may mirror state
 /// transitions for its own bookkeeping. `FixedEval`'s driver keeps
-/// per-processor waiting lists and records snapshots; the fast path's
-/// driver adapts any [`OnlineScheduler`].
+/// per-processor waiting lists and records snapshots; the online
+/// drivers adapt any [`OnlineScheduler`].
+///
+/// Every hook but `dispatch` defaults to a no-op. Drivers are generic
+/// parameters of the event loop, so a driver that keeps a default
+/// compiles the hook call away: recording costs only the drivers that
+/// record.
 pub(crate) trait Driver {
     /// Dispatch decisions for the current epoch: inspect `k` (notably
     /// `k.ready`, sorted by task id, and `k.procs[p].assigned == NONE`
@@ -373,12 +439,17 @@ pub(crate) trait Driver {
     /// The epoch's assignments have been applied; `k.assign_buf` holds
     /// the decisions made.
     fn epoch_end(&mut self, _k: &KernelState) {}
+
+    /// Processor `p` was busy from `start` to `end` (now): a compute
+    /// segment of task `task` that completed or was preempted, or a
+    /// σ/τ overhead of a message to `task`. Called once per Gantt span,
+    /// in the order spans end.
+    fn span(&mut self, _p: u32, _kind: SpanKind, _start: SimTime, _end: SimTime, _task: u32) {}
 }
 
 /// The mutable engine state of one run: every buffer is reused across
-/// runs (and, through [`SimScratch`], across instances). A
-/// transliteration of the general engine's state minus Gantt spans and
-/// statistics.
+/// runs (and, through [`SimScratch`], across instances). Gantt spans
+/// and statistics are the drivers' business (see [`Driver::span`]).
 #[derive(Debug, Default)]
 pub(crate) struct KernelState {
     pub(crate) now: SimTime,
@@ -515,8 +586,7 @@ impl KernelState {
         &self.procs[..self.num_procs]
     }
 
-    /// The main event loop; a transliteration of the general engine's
-    /// `run` with dispatch delegated to the driver.
+    /// The main event loop, with dispatch delegated to the driver.
     // lint:allow(panic) reason="`reg` was checked Some on the use_reg branches"
     pub(crate) fn run<D: Driver>(
         &mut self,
@@ -573,9 +643,9 @@ impl KernelState {
                 Some(rest) => {
                     let arg = (rest & ARG_MASK) as u32;
                     if (rest >> 30) & 0b11 == KIND_OVERHEAD_DONE {
-                        self.on_overhead_done(arg, ctx);
+                        self.on_overhead_done(arg, ctx, driver);
                     } else {
-                        self.on_transfer_done(arg, ctx);
+                        self.on_transfer_done(arg, ctx, driver);
                     }
                 }
             }
@@ -599,8 +669,7 @@ impl KernelState {
     }
 
     /// Dispatch epoch: the driver picks assignments, the kernel applies
-    /// them. The driver is only consulted when a task is ready,
-    /// matching the general engine's early return.
+    /// them. The driver is only consulted when a task is ready.
     fn run_epoch<D: Driver>(
         &mut self,
         ctx: &KernelCtx<'_>,
@@ -656,10 +725,11 @@ impl KernelState {
                 self.enqueue_overhead(
                     src,
                     Oh {
-                        kind: OhKind::Send,
+                        kind: SpanKind::Send,
                         dur: sigma,
                         msg: msg_id,
                     },
+                    driver,
                 );
             }
         }
@@ -671,23 +741,24 @@ impl KernelState {
             pr.task = t;
             pr.remaining = g.load(tid);
             pr.running_since = NOT_RUNNING;
-            self.pump(q);
+            self.pump(q, driver);
         }
     }
 
-    pub(crate) fn enqueue_overhead(&mut self, p: u32, oh: Oh) {
+    fn enqueue_overhead<D: Driver>(&mut self, p: u32, oh: Oh, driver: &mut D) {
+        debug_assert!(oh.kind != SpanKind::Compute, "compute is not an overhead");
         let pr = &mut self.procs[p as usize];
         match oh.kind {
-            OhKind::Send => pr.sends.push_back(oh),
+            SpanKind::Send => pr.sends.push_back(oh),
             _ => pr.incoming.push_back(oh),
         }
-        self.pump(p);
+        self.pump(p, driver);
     }
 
-    /// Keeps processor `p` busy with the right thing (the engine's
-    /// `pump`): pending overheads preempt compute; otherwise compute
-    /// (re)starts.
-    pub(crate) fn pump(&mut self, p: u32) {
+    /// Keeps processor `p` busy with the right thing: pending overheads
+    /// preempt compute; otherwise compute (re)starts. Message-driven
+    /// overheads (receive/route τ) run before pending sends (σ).
+    fn pump<D: Driver>(&mut self, p: u32, driver: &mut D) {
         let now = self.now;
         let pr = &mut self.procs[p as usize];
         if pr.cur_oh.is_some() {
@@ -696,10 +767,11 @@ impl KernelState {
         let next = pr.incoming.pop_front().or_else(|| pr.sends.pop_front());
         if let Some(oh) = next {
             if pr.task != NONE && pr.running_since != NOT_RUNNING {
-                let done = now - pr.running_since;
-                pr.remaining -= done;
+                let since = pr.running_since;
+                pr.remaining -= now - since;
                 pr.running_since = NOT_RUNNING;
                 pr.done_at = NOT_RUNNING; // disarm the completion register
+                driver.span(p, SpanKind::Compute, since, now, pr.task);
                 self.disarm_cache(p);
             }
             let pr = &mut self.procs[p as usize];
@@ -775,7 +847,7 @@ impl KernelState {
         }
     }
 
-    fn on_transfer_done(&mut self, msg_id: u32, ctx: &KernelCtx<'_>) {
+    fn on_transfer_done<D: Driver>(&mut self, msg_id: u32, ctx: &KernelCtx<'_>, driver: &mut D) {
         // Free the channel and start the next queued transfer.
         let m = self.msgs[msg_id as usize];
         let hop = self.msg_hop[msg_id as usize] as usize;
@@ -791,9 +863,9 @@ impl KernelState {
         let v = ctx.routes.hop_proc(m.src, m.dest, hop + 1);
         let tau = ctx.params.tau;
         let kind = if v == m.dest {
-            OhKind::Receive
+            SpanKind::Receive
         } else {
-            OhKind::Route
+            SpanKind::Route
         };
         self.enqueue_overhead(
             v,
@@ -802,23 +874,27 @@ impl KernelState {
                 dur: tau,
                 msg: msg_id,
             },
+            driver,
         );
     }
 
     // lint:allow(panic) reason="overhead timers are only armed with a current overhead in place"
-    fn on_overhead_done(&mut self, p: u32, ctx: &KernelCtx<'_>) {
+    fn on_overhead_done<D: Driver>(&mut self, p: u32, ctx: &KernelCtx<'_>, driver: &mut D) {
         let oh = self.procs[p as usize]
             .cur_oh
             .take()
             .expect("overhead timer fired without current overhead");
-        match oh.kind {
-            OhKind::Send | OhKind::Route => self.channel_push(oh.msg, ctx),
-            OhKind::Receive => self.deliver(oh.msg, ctx),
+        let task = self.msgs[oh.msg as usize].dest_task;
+        driver.span(p, oh.kind, self.now - oh.dur, self.now, task);
+        if oh.kind == SpanKind::Receive {
+            self.deliver(oh.msg, ctx, driver);
+        } else {
+            self.channel_push(oh.msg, ctx);
         }
-        self.pump(p);
+        self.pump(p, driver);
     }
 
-    fn deliver(&mut self, msg_id: u32, ctx: &KernelCtx<'_>) {
+    fn deliver<D: Driver>(&mut self, msg_id: u32, ctx: &KernelCtx<'_>, driver: &mut D) {
         // The message is done: drop it from the live set.
         let pos = self.live_pos[msg_id as usize] as usize;
         debug_assert_eq!(self.live[pos], msg_id);
@@ -839,7 +915,7 @@ impl KernelState {
             pr.task = t;
             pr.remaining = load;
             pr.running_since = NOT_RUNNING;
-            self.pump(q);
+            self.pump(q, driver);
         }
     }
 
@@ -849,6 +925,7 @@ impl KernelState {
         let pr = &mut self.procs[p as usize];
         let t = pr.task;
         debug_assert!(t != NONE && pr.running_since != NOT_RUNNING);
+        driver.span(p, SpanKind::Compute, pr.running_since, self.now, t);
         pr.task = NONE;
         pr.remaining = 0;
         pr.running_since = NOT_RUNNING;
@@ -870,7 +947,7 @@ impl KernelState {
             }
         }
         self.epoch_pending = true;
-        self.pump(p);
+        self.pump(p, driver);
     }
 }
 
@@ -888,12 +965,14 @@ pub(crate) fn build_pred_base(g: &TaskGraph, out: &mut Vec<u32>) {
 
 /// The always-on counters of one kernel run, readable from
 /// [`SimScratch::last_run_stats`] after a [`simulate_makespan`] call
-/// (and mirrored on [`SimResult`](crate::SimResult) by the general
-/// engine as [`RunObs`](crate::RunObs)). All four are deterministic:
-/// pure functions of `(graph, topology, params, scheduler, config)`.
+/// and as [`SimResult::obs`] after a [`simulate`] call (the same
+/// kernel, so the same counts). All four are deterministic: pure
+/// functions of `(graph, topology, params, scheduler, config)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelRunStats {
-    /// Events popped from the merged queue (heap + registers).
+    /// Events popped from the merged queue (heap + registers). A
+    /// preempted compute completion is disarmed, never popped, so it
+    /// does not count.
     pub events: u64,
     /// Dispatch epochs run.
     pub epochs: u64,
@@ -1056,9 +1135,9 @@ impl SimScratch {
     }
 }
 
-/// Adapts an [`OnlineScheduler`] to the kernel's [`Driver`] contract,
-/// mirroring exactly the state the general engine exposes through
-/// [`EpochContext`].
+/// Adapts an [`OnlineScheduler`] to the kernel's [`Driver`] contract:
+/// builds each epoch's [`EpochContext`] and validates the scheduler's
+/// assignments.
 struct OnlineDriver<'a> {
     sched: &'a mut dyn OnlineScheduler,
     topo: &'a Topology,
@@ -1079,7 +1158,7 @@ impl Driver for OnlineDriver<'_> {
         ctx: &KernelCtx<'_>,
         out: &mut Vec<(u32, u32)>,
     ) -> Result<(), SimError> {
-        // The engine consults the scheduler only when both sides are
+        // The scheduler is consulted only when both sides are
         // non-empty; the kernel already guarantees a non-empty ready
         // set.
         self.idle.clear();
@@ -1112,7 +1191,7 @@ impl Driver for OnlineDriver<'_> {
             };
             self.sched.on_epoch(&ectx, self.out);
         }
-        // Validate, replicating the engine's checks and messages.
+        // Validate: ready tasks, idle processors, pairwise distinct.
         let np = self.used_proc.len();
         let mut res = Ok(());
         let mut marked = 0usize;
@@ -1168,13 +1247,9 @@ impl Driver for OnlineDriver<'_> {
 /// evaluations (tournament cells, campaign cells, adversarial-search
 /// candidates) that never read a Gantt chart, a trace or statistics.
 ///
-/// Bit-identical to [`simulate`](crate::simulate)'s
-/// `SimResult::makespan` for every scheduler: the scheduler observes
-/// the same [`EpochContext`] sequence, assignments are validated the
-/// same way, and event ordering (σ/τ preemption, channel FIFO,
-/// insertion-order tie-breaking) is reproduced exactly. The only
-/// divergence is *when* `SimError::EventLimit` can fire, because stale
-/// preempted timers never enter this queue (see the module docs).
+/// Runs the same kernel, dispatch and validation as [`simulate`], so
+/// its makespan and errors equal `simulate`'s by construction; only
+/// the recording hooks are left out.
 ///
 /// `scratch` carries every buffer and a route-table cache across
 /// calls; reuse one per worker thread for zero steady-state allocation.
@@ -1186,79 +1261,244 @@ pub fn simulate_makespan(
     config: &SimConfig,
     scratch: &mut SimScratch,
 ) -> Result<SimTime, SimError> {
-    let np = topology.num_procs();
-    let ri = scratch.route_entry(topology)?;
-    let SimScratch {
-        kernel,
-        routes,
-        pred_base,
-        placement,
-        finish,
-        ready,
-        idle,
-        out,
-        used_task,
-        used_proc,
-        ..
-    } = scratch;
-    let entry = &routes[ri];
-    build_pred_base(graph, pred_base);
-    // lint:allow(panic) reason="build_pred_base always pushes at least one offset"
-    let num_pred_edges = *pred_base.last().expect("pred_base is non-empty") as usize;
-    // Packed-event ids: `arg` carries a processor index (OverheadDone)
-    // or a predecessor-edge id (TransferDone), both in 30 bits.
-    assert!(
-        np <= ARG_MASK as usize && num_pred_edges <= ARG_MASK as usize,
-        "instance exceeds the packed-event id space"
-    );
-    kernel.reset(graph, np, topology.num_channels(), num_pred_edges);
-    let n = graph.num_tasks();
-    placement.clear();
-    placement.resize(n, None);
-    finish.clear();
-    finish.resize(n, None);
-    used_task.clear();
-    used_task.resize(n, false);
-    used_proc.clear();
-    used_proc.resize(np, false);
-    let ctx = KernelCtx {
-        g: graph,
-        params,
-        comm_enabled: config.comm_enabled,
-        max_events: config.max_events,
-        routes: &entry.flat,
-        pred_base,
+    let mut run = scratch.prepare(graph, topology, params, scheduler, config)?;
+    run.kernel.run(&run.ctx, &mut run.online)
+}
+
+/// A kernel reset for one online-scheduler run: the state, its inputs
+/// and the driver, all borrowing one [`SimScratch`].
+struct OnlineRun<'a> {
+    kernel: &'a mut KernelState,
+    ctx: KernelCtx<'a>,
+    online: OnlineDriver<'a>,
+}
+
+impl SimScratch {
+    /// Resets the kernel and the online-driver buffers for one run of
+    /// `scheduler` on `(graph, topology)`.
+    fn prepare<'a>(
+        &'a mut self,
+        graph: &'a TaskGraph,
+        topology: &'a Topology,
+        params: &'a CommParams,
+        scheduler: &'a mut dyn OnlineScheduler,
+        config: &SimConfig,
+    ) -> Result<OnlineRun<'a>, SimError> {
+        let np = topology.num_procs();
+        let ri = self.route_entry(topology)?;
+        let SimScratch {
+            kernel,
+            routes,
+            pred_base,
+            placement,
+            finish,
+            ready,
+            idle,
+            out,
+            used_task,
+            used_proc,
+            ..
+        } = self;
+        let entry = &routes[ri];
+        build_pred_base(graph, pred_base);
+        // lint:allow(panic) reason="build_pred_base always pushes at least one offset"
+        let num_pred_edges = *pred_base.last().expect("pred_base is non-empty") as usize;
+        // Packed-event ids: `arg` carries a processor index (OverheadDone)
+        // or a predecessor-edge id (TransferDone), both in 30 bits.
+        assert!(
+            np <= ARG_MASK as usize && num_pred_edges <= ARG_MASK as usize,
+            "instance exceeds the packed-event id space"
+        );
+        kernel.reset(graph, np, topology.num_channels(), num_pred_edges);
+        let n = graph.num_tasks();
+        placement.clear();
+        placement.resize(n, None);
+        finish.clear();
+        finish.resize(n, None);
+        used_task.clear();
+        used_task.resize(n, false);
+        used_proc.clear();
+        used_proc.resize(np, false);
+        Ok(OnlineRun {
+            kernel,
+            ctx: KernelCtx {
+                g: graph,
+                params,
+                comm_enabled: config.comm_enabled,
+                max_events: config.max_events,
+                routes: &entry.flat,
+                pred_base,
+            },
+            online: OnlineDriver {
+                sched: scheduler,
+                topo: topology,
+                table: &entry.table,
+                placement,
+                finish,
+                ready,
+                idle,
+                out,
+                used_task,
+                used_proc,
+            },
+        })
+    }
+}
+
+/// The recording driver of [`simulate`]: dispatches through an
+/// [`OnlineDriver`] and records Gantt spans, first start times, busy
+/// time, σ/τ overhead and packet statistics through the hooks.
+struct RecordingDriver<'a> {
+    online: OnlineDriver<'a>,
+    spans: Vec<Span>,
+    /// First start per task; `NOT_RUNNING` until its first compute
+    /// segment ends (a task's segments end in order, so the first one
+    /// recorded is the earliest).
+    start: Vec<SimTime>,
+    busy: Vec<u64>,
+    overhead_ns: u64,
+    packets: PacketStats,
+}
+
+impl Driver for RecordingDriver<'_> {
+    fn dispatch(
+        &mut self,
+        k: &KernelState,
+        ctx: &KernelCtx<'_>,
+        out: &mut Vec<(u32, u32)>,
+    ) -> Result<(), SimError> {
+        self.online.dispatch(k, ctx, out)?;
+        // A packet is an epoch that found both a ready task and an idle
+        // processor, i.e. one that consulted the scheduler.
+        if !self.online.idle.is_empty() {
+            self.packets.packets += 1;
+            self.packets.total_candidates += k.ready.len() as u64;
+            self.packets.total_idle += self.online.idle.len() as u64;
+            self.packets.assigned += out.len() as u64;
+        }
+        Ok(())
+    }
+
+    fn task_assigned(&mut self, t: u32, q: u32) {
+        self.online.task_assigned(t, q);
+    }
+
+    fn task_finished(&mut self, t: u32, now: SimTime) {
+        self.online.task_finished(t, now);
+    }
+
+    fn span(&mut self, p: u32, kind: SpanKind, start: SimTime, end: SimTime, task: u32) {
+        self.busy[p as usize] += end - start;
+        if kind == SpanKind::Compute {
+            let first = &mut self.start[task as usize];
+            if *first == NOT_RUNNING {
+                *first = start;
+            }
+        } else {
+            self.overhead_ns += end - start;
+        }
+        self.spans.push(Span {
+            proc: ProcId::from_index(p as usize),
+            kind,
+            start,
+            end,
+            task: Some(TaskId::from_index(task as usize)),
+        });
+    }
+}
+
+/// Simulates `graph` on `topology` with the given communication
+/// parameters, driven by `scheduler`, and records the full
+/// [`SimResult`]: the Gantt chart, start and finish times, busy time,
+/// and communication, packet and kernel statistics.
+///
+/// The same kernel run as [`simulate_makespan`] plus the recording
+/// hooks. Link statistics (`transfer_ns`, `hops`, `max_hops`) are not
+/// hooked: every message of a finished run crossed every hop of its
+/// route exactly once, so they follow from the placement.
+// lint:allow(panic) reason="the kernel returns Ok only after every task was placed and finished"
+pub fn simulate(
+    graph: &TaskGraph,
+    topology: &Topology,
+    params: &CommParams,
+    scheduler: &mut dyn OnlineScheduler,
+    config: &SimConfig,
+) -> Result<SimResult, SimError> {
+    let mut scratch = SimScratch::new();
+    let run = scratch.prepare(graph, topology, params, scheduler, config)?;
+    let mut rec = RecordingDriver {
+        online: run.online,
+        spans: Vec::new(),
+        start: vec![NOT_RUNNING; graph.num_tasks()],
+        busy: vec![0; topology.num_procs()],
+        overhead_ns: 0,
+        packets: PacketStats::default(),
     };
-    let mut driver = OnlineDriver {
-        sched: scheduler,
-        topo: topology,
-        table: &entry.table,
-        placement,
-        finish,
-        ready,
-        idle,
-        out,
-        used_task,
-        used_proc,
+    let makespan = run.kernel.run(&run.ctx, &mut rec)?;
+    let placement: Vec<ProcId> = rec
+        .online
+        .placement
+        .iter()
+        .map(|p| p.expect("every task was placed"))
+        .collect();
+    let mut comm = CommStats {
+        messages: run.kernel.messages,
+        overhead_ns: rec.overhead_ns,
+        ..CommStats::default()
     };
-    kernel.run(&ctx, &mut driver)
+    if config.comm_enabled {
+        for t in graph.tasks() {
+            let q = placement[t.index()].raw();
+            for e in graph.predecessors(t) {
+                let src = placement[e.target.index()].raw();
+                if src != q {
+                    let hops = run.ctx.routes.hops(src, q);
+                    comm.hops += u64::from(hops);
+                    comm.transfer_ns += u64::from(hops) * link_occupancy_time(params, e.weight);
+                    comm.max_hops = comm.max_hops.max(hops);
+                }
+            }
+        }
+    }
+    let total_work = graph.total_work();
+    Ok(SimResult {
+        makespan,
+        speedup: if makespan == 0 {
+            0.0
+        } else {
+            total_work as f64 / makespan as f64
+        },
+        total_work,
+        placement,
+        start: rec.start,
+        finish: rec
+            .online
+            .finish
+            .iter()
+            .map(|f| f.expect("every task finished"))
+            .collect(),
+        busy: rec.busy,
+        comm,
+        packets: rec.packets,
+        gantt: Gantt {
+            spans: rec.spans,
+            makespan,
+        },
+        scheduler: rec.online.sched.name().to_string(),
+        obs: run.kernel.run_stats(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate;
-    use crate::scheduler::{FixedMapping, GreedyScheduler};
+    use crate::scheduler::GreedyScheduler;
     use anneal_graph::generate::{layered_random, LayeredConfig, Range};
     use anneal_graph::units::us;
     use anneal_graph::TaskGraphBuilder;
-    use anneal_topology::builders::{bus, hypercube, linear, ring, shared_bus, star};
+    use anneal_topology::builders::{bus, linear};
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn p(i: usize) -> ProcId {
-        ProcId::from_index(i)
-    }
+    use rand::SeedableRng;
 
     fn sample_graph(seed: u64) -> TaskGraph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1275,80 +1515,7 @@ mod tests {
     }
 
     #[test]
-    fn greedy_matches_engine_across_topologies_with_one_scratch() {
-        let mut scratch = SimScratch::new();
-        let params = CommParams::paper();
-        let cfg = SimConfig::default();
-        for seed in [1, 2, 3] {
-            let g = sample_graph(seed);
-            for topo in [hypercube(3), ring(5), star(4), shared_bus(4), linear(3)] {
-                let slow = simulate(&g, &topo, &params, &mut GreedyScheduler, &cfg)
-                    .unwrap()
-                    .makespan;
-                let fast =
-                    simulate_makespan(&g, &topo, &params, &mut GreedyScheduler, &cfg, &mut scratch)
-                        .unwrap();
-                assert_eq!(fast, slow, "seed {seed} on {}", topo.name());
-            }
-        }
-        // The five distinct topologies (ring(5) and star(4) etc.) are
-        // all cached now.
-        assert!(scratch.routes.len() >= 4);
-    }
-
-    #[test]
-    fn fixed_mapping_matches_engine() {
-        let g = sample_graph(7);
-        let n = g.num_tasks();
-        let topo = hypercube(3);
-        let params = CommParams::paper();
-        let cfg = SimConfig::default();
-        let mut scratch = SimScratch::new();
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..8 {
-            let mapping: Vec<ProcId> = (0..n).map(|_| p(rng.gen_range(0..8))).collect();
-            let slow = simulate(
-                &g,
-                &topo,
-                &params,
-                &mut FixedMapping::new(mapping.clone()),
-                &cfg,
-            )
-            .unwrap()
-            .makespan;
-            let fast = simulate_makespan(
-                &g,
-                &topo,
-                &params,
-                &mut FixedMapping::new(mapping),
-                &cfg,
-                &mut scratch,
-            )
-            .unwrap();
-            assert_eq!(fast, slow);
-        }
-    }
-
-    #[test]
-    fn no_comm_mode_matches_engine() {
-        let g = sample_graph(5);
-        let topo = bus(4);
-        let params = CommParams::zero();
-        let cfg = SimConfig {
-            comm_enabled: false,
-            ..SimConfig::default()
-        };
-        let mut scratch = SimScratch::new();
-        let slow = simulate(&g, &topo, &params, &mut GreedyScheduler, &cfg)
-            .unwrap()
-            .makespan;
-        let fast = simulate_makespan(&g, &topo, &params, &mut GreedyScheduler, &cfg, &mut scratch)
-            .unwrap();
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn deadlock_and_invalid_assignments_error_like_the_engine() {
+    fn deadlock_and_invalid_assignments_are_reported() {
         struct Lazy;
         impl OnlineScheduler for Lazy {
             fn on_epoch(&mut self, _: &EpochContext<'_>, _: &mut Vec<(TaskId, ProcId)>) {}
@@ -1459,69 +1626,5 @@ mod tests {
         let c = Topology::from_edges("third", 3, &[(0, 1), (1, 2), (0, 2)]);
         simulate_makespan(&g, &c, &params, &mut GreedyScheduler, &cfg, &mut scratch).unwrap();
         assert_eq!(scratch.routes.len(), 2);
-    }
-
-    #[test]
-    fn stateful_scheduler_sees_identical_epoch_sequence() {
-        // A scheduler that folds everything it observes into a running
-        // hash: any divergence in the EpochContext sequence (epoch
-        // times, ready sets, idle sets, placements, finishes) between
-        // the engine and the fast path changes the hash and therefore
-        // the dispatch decisions and the makespan.
-        #[derive(Default)]
-        struct Hashing {
-            h: u64,
-        }
-        impl Hashing {
-            fn mix(&mut self, v: u64) {
-                let mut z = self.h ^ v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                self.h = z ^ (z >> 31);
-            }
-        }
-        impl OnlineScheduler for Hashing {
-            fn on_epoch(&mut self, ctx: &EpochContext<'_>, out: &mut Vec<(TaskId, ProcId)>) {
-                self.mix(ctx.time);
-                for &t in ctx.ready {
-                    self.mix(t.index() as u64 + 1);
-                }
-                for &p in ctx.idle {
-                    self.mix(p.index() as u64 + 101);
-                }
-                for pl in ctx.placement {
-                    self.mix(pl.map_or(0, |p| p.index() as u64 + 1));
-                }
-                for f in ctx.finish {
-                    self.mix(f.map_or(0, |t| t + 1));
-                }
-                // Hash-driven assignment: pair ready tasks and idle
-                // processors with a rotating offset.
-                let k = (self.h % ctx.idle.len() as u64) as usize;
-                for (i, &t) in ctx.ready.iter().take(ctx.idle.len()).enumerate() {
-                    out.push((t, ctx.idle[(i + k) % ctx.idle.len()]));
-                }
-            }
-        }
-        let params = CommParams::paper();
-        let cfg = SimConfig::default();
-        let mut scratch = SimScratch::new();
-        for seed in [3, 9, 27] {
-            let g = sample_graph(seed);
-            for topo in [hypercube(3), ring(5), shared_bus(4)] {
-                let slow = simulate(&g, &topo, &params, &mut Hashing::default(), &cfg)
-                    .unwrap()
-                    .makespan;
-                let fast = simulate_makespan(
-                    &g,
-                    &topo,
-                    &params,
-                    &mut Hashing::default(),
-                    &cfg,
-                    &mut scratch,
-                )
-                .unwrap();
-                assert_eq!(fast, slow, "seed {seed} on {}", topo.name());
-            }
-        }
     }
 }

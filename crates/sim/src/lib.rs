@@ -5,11 +5,15 @@
 //!
 //! The paper evaluates schedules with "a simulation program … which
 //! accurately records the execution and interprocessor communication".
-//! This crate rebuilds that simulator:
+//! This crate rebuilds that simulator as **one** discrete-event kernel
+//! ([`fastpath`]) with three entry points: [`simulate`] (full
+//! recording), [`simulate_makespan`] (makespan only, out of a reusable
+//! [`SimScratch`]) and [`FixedEval`] (incremental fixed-mapping
+//! evaluation). It models:
 //!
 //! * **Epoch-driven online scheduling** — the first scheduling epoch is
 //!   at time 0 and further epochs occur whenever processors become idle;
-//!   at each epoch the engine hands the ready tasks and idle processors
+//!   at each epoch the kernel hands the ready tasks and idle processors
 //!   to an [`OnlineScheduler`] (the SA and HLF schedulers live in
 //!   `anneal-core`).
 //! * **Message lifecycle** — a message from a finished predecessor to a
@@ -22,7 +26,8 @@
 //!   processor"); remaining compute work resumes afterwards.
 //! * **Gantt recording** — compute/send/receive/route spans per
 //!   processor (the paper's Figure 2), plus utilization, communication
-//!   and annealing-packet statistics.
+//!   and annealing-packet statistics, recorded by [`simulate`] and
+//!   checked by [`SimResult::audit`].
 //!
 //! All times are integer nanoseconds ([`SimTime`]).
 
@@ -30,18 +35,18 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod engine;
 pub mod eval;
 pub mod fastpath;
 pub mod gantt;
 pub mod result;
 pub mod scheduler;
 
-pub use engine::{simulate, SimConfig, SimError};
 pub use eval::{EvalObsStats, FixedEval};
-pub use fastpath::{simulate_makespan, KernelRunStats, RouteCacheStats, SimScratch};
+pub use fastpath::{
+    simulate, simulate_makespan, KernelRunStats, RouteCacheStats, SimConfig, SimError, SimScratch,
+};
 pub use gantt::{Gantt, Span, SpanKind};
-pub use result::{CommStats, PacketStats, RunObs, SimResult};
+pub use result::{CommStats, PacketStats, SimResult};
 pub use scheduler::{EpochContext, FixedMapping, GreedyScheduler, OnlineScheduler};
 
 /// Simulated time in nanoseconds since the start of execution.

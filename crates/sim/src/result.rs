@@ -4,6 +4,7 @@ use anneal_graph::units::as_us;
 use anneal_graph::{TaskGraph, TaskId};
 use anneal_topology::ProcId;
 
+use crate::fastpath::KernelRunStats;
 use crate::gantt::{Gantt, SpanKind};
 use crate::SimTime;
 
@@ -58,39 +59,6 @@ impl PacketStats {
     }
 }
 
-/// Always-on engine counters of one run (the general engine's mirror
-/// of the fast path's [`KernelRunStats`](crate::fastpath::KernelRunStats)).
-///
-/// Each counter is deterministic *per path*, but the two paths count
-/// differently: the fast path keeps compute completions in registers
-/// outside the heap and never enqueues stale preempted timers, so
-/// `events` and `heap_hwm` from [`simulate`](crate::simulate) exceed
-/// the fast path's on preemption-heavy runs. Compare within one path
-/// only.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunObs {
-    /// Events popped from the event queue.
-    pub events: u64,
-    /// Dispatch epochs run.
-    pub epochs: u64,
-    /// Most events ever resident in the queue.
-    pub heap_hwm: u64,
-    /// Cross-processor messages created.
-    pub messages: u64,
-}
-
-impl RunObs {
-    /// Accumulates this run into `r` under the same keys the fast-path
-    /// kernel uses (`sim.kernel.events` / `.epochs` / `.messages`
-    /// counters, `sim.kernel.heap_hwm` gauge).
-    pub fn record_into(&self, r: &mut dyn anneal_obs::Recorder) {
-        r.add("sim.kernel.events", self.events);
-        r.add("sim.kernel.epochs", self.epochs);
-        r.add("sim.kernel.messages", self.messages);
-        r.hwm("sim.kernel.heap_hwm", self.heap_hwm);
-    }
-}
-
 /// The outcome of a simulated execution.
 #[derive(Debug, Clone)]
 pub struct SimResult {
@@ -116,8 +84,8 @@ pub struct SimResult {
     pub gantt: Gantt,
     /// Name of the scheduler that produced the run.
     pub scheduler: String,
-    /// Engine counters (events, epochs, queue high-water, messages).
-    pub obs: RunObs,
+    /// Kernel counters (events, epochs, heap high-water, messages).
+    pub obs: KernelRunStats,
 }
 
 impl SimResult {
@@ -139,18 +107,84 @@ impl SimResult {
     ///
     /// 1. every task ran exactly once and finished,
     /// 2. no task started before all its predecessors finished,
-    /// 3. compute time per task equals its load (sum of segments),
-    /// 4. no processor ever did two things at once,
-    /// 5. the makespan is the max finish time.
+    /// 3. compute time per task equals its load (sum of segments), all
+    ///    of it on the task's processor,
+    /// 4. no processor ever did two things at once, and each
+    ///    processor's spans sum to its busy time,
+    /// 5. communication: the `Send`/`Route`/`Receive` spans sum to
+    ///    `comm.overhead_ns`; every `Receive` lies on its task's
+    ///    processor and ends by the task's start; each task has one
+    ///    `Receive` per predecessor placed on another processor; and
+    ///    there are no such spans at all when no message was sent,
+    /// 6. the makespan is the max finish time.
     pub fn audit(&self, g: &TaskGraph) -> Result<(), String> {
         let n = g.num_tasks();
-        if self.placement.len() != n || self.finish.len() != n {
+        if self.placement.len() != n || self.start.len() != n || self.finish.len() != n {
             return Err("result vectors sized differently from graph".into());
+        }
+        let mut compute = vec![0u64; n];
+        let mut receives = vec![0u64; n];
+        let mut busy = vec![0u64; self.busy.len()];
+        let mut overhead = 0u64;
+        for s in &self.gantt.spans {
+            let Some(t) = s.task.filter(|t| t.index() < n) else {
+                return Err(format!("span {s:?} names no task of the graph"));
+            };
+            let Some(b) = busy.get_mut(s.proc.index()) else {
+                return Err(format!("span {s:?} is on an unknown processor"));
+            };
+            *b += s.duration();
+            let placed = self.placement[t.index()];
+            match s.kind {
+                SpanKind::Compute if s.proc != placed => {
+                    return Err(format!("{t} has segments on a foreign processor"));
+                }
+                SpanKind::Compute => compute[t.index()] += s.duration(),
+                kind if self.comm.messages == 0 => {
+                    return Err(format!(
+                        "{kind:?} span on {} but no message was sent",
+                        s.proc
+                    ));
+                }
+                kind => {
+                    overhead += s.duration();
+                    if kind == SpanKind::Receive {
+                        if s.proc != placed {
+                            return Err(format!(
+                                "{t} received a message on {} but ran on {placed}",
+                                s.proc
+                            ));
+                        }
+                        if s.end > self.start[t.index()] {
+                            return Err(format!(
+                                "{t} started at {} before its message was received at {}",
+                                self.start[t.index()],
+                                s.end
+                            ));
+                        }
+                        receives[t.index()] += 1;
+                    }
+                }
+            }
+        }
+        for (p, (&have, &want)) in busy.iter().zip(&self.busy).enumerate() {
+            if have != want {
+                return Err(format!(
+                    "P{p} has spans summing to {have} ns but busy time {want} ns"
+                ));
+            }
+        }
+        if overhead != self.comm.overhead_ns {
+            return Err(format!(
+                "send/route/receive spans sum to {overhead} ns but overhead_ns is {} ns",
+                self.comm.overhead_ns
+            ));
         }
         for t in g.tasks() {
             if self.finish[t.index()] < self.start[t.index()] {
                 return Err(format!("{t} finished before it started"));
             }
+            let mut remote = 0u64;
             for e in g.predecessors(t) {
                 let p = e.target;
                 if self.start[t.index()] < self.finish[p.index()] {
@@ -160,27 +194,20 @@ impl SimResult {
                         self.finish[p.index()]
                     ));
                 }
+                remote += u64::from(self.placement[p.index()] != self.placement[t.index()]);
             }
-            let seg_sum: u64 = self
-                .gantt
-                .task_segments(t)
-                .iter()
-                .map(|s| s.duration())
-                .sum();
-            if seg_sum != g.load(t) {
+            if compute[t.index()] != g.load(t) {
                 return Err(format!(
-                    "{t} executed for {seg_sum} ns but load is {} ns",
+                    "{t} executed for {} ns but load is {} ns",
+                    compute[t.index()],
                     g.load(t)
                 ));
             }
-            // all segments on the placed processor
-            if self
-                .gantt
-                .task_segments(t)
-                .iter()
-                .any(|s| s.proc != self.placement[t.index()])
-            {
-                return Err(format!("{t} has segments on a foreign processor"));
+            if self.comm.messages > 0 && receives[t.index()] != remote {
+                return Err(format!(
+                    "{t} has {} receive spans but {remote} predecessors on other processors",
+                    receives[t.index()]
+                ));
             }
         }
         if let Some((a, b)) = self.gantt.find_overlap() {
@@ -236,6 +263,84 @@ mod tests {
         assert_eq!(empty.avg_idle(), 0.0);
     }
 
-    // SimResult construction and audits are exercised end-to-end in the
-    // engine tests.
+    /// a(10us) on P0 -> b(20us) on P2 of a 3-processor line: one
+    /// message with a send on P0, a route on P1 and a receive on P2.
+    fn routed_chain() -> (TaskGraph, SimResult) {
+        use crate::{simulate, FixedMapping, SimConfig};
+        use anneal_graph::units::us;
+        use anneal_topology::builders::linear;
+        use anneal_topology::CommParams;
+
+        let mut b = anneal_graph::TaskGraphBuilder::new();
+        let a = b.add_task(us(10.0));
+        let c = b.add_task(us(20.0));
+        b.add_edge(a, c, us(4.0)).unwrap();
+        let g = b.build().unwrap();
+        let mut s = FixedMapping::new(vec![ProcId::from_index(0), ProcId::from_index(2)]);
+        let r = simulate(
+            &g,
+            &linear(3),
+            &CommParams::paper(),
+            &mut s,
+            &SimConfig::default(),
+        )
+        .unwrap();
+        r.audit(&g).unwrap();
+        (g, r)
+    }
+
+    fn receive_span(r: &mut SimResult) -> &mut crate::Span {
+        r.gantt
+            .spans
+            .iter_mut()
+            .find(|s| s.kind == SpanKind::Receive)
+            .unwrap()
+    }
+
+    fn audit_error(g: &TaskGraph, r: &SimResult) -> String {
+        r.audit(g)
+            .expect_err("the corrupted result must fail the audit")
+    }
+
+    #[test]
+    fn audit_checks_busy_time_per_processor() {
+        let (g, mut r) = routed_chain();
+        r.busy[1] += 1;
+        assert!(audit_error(&g, &r).contains("busy time"));
+    }
+
+    #[test]
+    fn audit_checks_overhead_total() {
+        let (g, mut r) = routed_chain();
+        r.comm.overhead_ns -= 1;
+        assert!(audit_error(&g, &r).contains("overhead_ns"));
+    }
+
+    #[test]
+    fn audit_checks_receive_processor() {
+        let (g, mut r) = routed_chain();
+        receive_span(&mut r).proc = ProcId::from_index(1);
+        assert!(audit_error(&g, &r).contains("received a message on P1"));
+    }
+
+    #[test]
+    fn audit_checks_receive_precedes_start() {
+        let (g, mut r) = routed_chain();
+        r.start[1] = receive_span(&mut r).end - 1;
+        assert!(audit_error(&g, &r).contains("before its message was received"));
+    }
+
+    #[test]
+    fn audit_checks_one_receive_per_remote_predecessor() {
+        let (g, mut r) = routed_chain();
+        receive_span(&mut r).kind = SpanKind::Route;
+        assert!(audit_error(&g, &r).contains("0 receive spans but 1 predecessors"));
+    }
+
+    #[test]
+    fn audit_rejects_overhead_spans_without_messages() {
+        let (g, mut r) = routed_chain();
+        r.comm.messages = 0;
+        assert!(audit_error(&g, &r).contains("no message was sent"));
+    }
 }
