@@ -20,12 +20,13 @@
 //! Re-pricing the whole portfolio per perturbation is the hottest loop
 //! in the repo, and it is tuned accordingly:
 //!
-//! * rival evaluations fan out over
-//!   `anneal_core::parallel::run_chunked_pooled`, every worker drawing
-//!   a warm `anneal_sim::SimScratch` from a search-wide
-//!   [`ScratchPool`] — cells run on the fast-path kernel (no Gantt, no
-//!   statistics, cached route tables, zero steady-state allocation)
-//!   with makespans bit-identical to the full engine;
+//! * the target and its rivals are one column of the arena's matrix
+//!   runner (the same one tournaments and campaign shards use), every
+//!   worker drawing a warm `anneal_sim::SimScratch` from a search-wide
+//!   [`ScratchPool`] that is never drained between candidates — cells
+//!   run on the fast-path kernel (no Gantt, no statistics, cached
+//!   route tables, zero steady-state allocation) with makespans
+//!   bit-identical to `simulate`;
 //! * candidates are **memoized by instance content**: the SA walk over
 //!   a small graph frequently proposes an instance it has already
 //!   priced (a rejected edit re-proposed, a perturbation that rounds
@@ -35,26 +36,26 @@
 //!   whole portfolio fan-out is skipped ([`AdversaryOutcome`] reports
 //!   the hit count).
 //!
-//! Identical seeds give identical searches either way; mapped entries
-//! (whole-graph static SA) still price their annealing moves through
-//! `anneal-core`'s shared evaluator layer, and the `--evaluator`
-//! toggle cannot change a ratio (only how fast it is computed).
+//! Identical seeds give identical searches either way; the static-SA
+//! entry prices its internal annealing moves through `anneal-core`'s
+//! shared evaluator layer, and the `--evaluator` toggle cannot change a
+//! ratio (only how fast it is computed).
 
 use std::collections::BTreeMap;
 
 use anneal_core::boltzmann::{accept, AcceptanceRule};
 use anneal_core::cooling::CoolingSchedule;
-use anneal_core::parallel::{run_chunked_pooled, ScratchPool};
+use anneal_core::parallel::ScratchPool;
 use anneal_graph::perturb::{perturb, DagEdit, PerturbConfig};
 use anneal_graph::{textio, TaskGraph};
-use anneal_obs::{MetricsRegistry, Recorder};
+use anneal_obs::{MetricsRegistry, NullClock, Recorder};
 use anneal_sim::{SimError, SimScratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::instance::ArenaInstance;
-use crate::portfolio::Portfolio;
-use crate::tournament::cell_seed;
+use crate::portfolio::{Portfolio, PortfolioEntry};
+use crate::tournament::{record_pool, run_cells};
 
 /// Adversarial-search settings.
 #[derive(Debug, Clone)]
@@ -143,7 +144,7 @@ pub fn makespan_ratio(
 /// # Panics
 ///
 /// Panics when `target` is not in the portfolio or is its only entry.
-// lint:allow(panic) reason="callers pass a portfolio member as target, with at least one rival; jobs >= 2"
+// lint:allow(panic) reason="callers pass a portfolio member as target, with at least one rival"
 pub fn makespan_ratio_pooled(
     portfolio: &Portfolio,
     target: &str,
@@ -155,35 +156,35 @@ pub fn makespan_ratio_pooled(
     let target_entry = portfolio
         .get(target)
         .unwrap_or_else(|| panic!("target '{target}' not in portfolio"));
-    let field = portfolio.without(target);
-    assert!(
-        !field.is_empty(),
-        "portfolio must hold a rival for '{target}'"
-    );
-    let jobs = field.len() + 1;
-    let makespans: Vec<Result<u64, SimError>> =
-        run_chunked_pooled(jobs, max_threads, pool, |scratch, k| {
-            let entry = if k == 0 {
-                target_entry
-            } else {
-                &field.entries()[k - 1]
-            };
-            entry.evaluate_makespan(inst, cell_seed(seed, k as u64, 0), scratch)
-        });
-    let mut it = makespans.into_iter();
-    let target_makespan = it.next().expect("target job ran")?;
-    let mut best: Option<(usize, u64)> = None;
-    for (i, m) in it.enumerate() {
-        let m = m?;
-        if best.is_none_or(|(_, b)| m < b) {
-            best = Some((i, m));
-        }
-    }
-    let (bi, best_rival_makespan) = best.expect("field is non-empty");
+    // Row 0 is the target, rows 1.. the field in portfolio order; the
+    // single column 0 gives the target seed `cell_seed(seed, 0, 0)` and
+    // rival k the seed `cell_seed(seed, k, 0)`.
+    let rows: Vec<PortfolioEntry> = std::iter::once(target_entry)
+        .chain(portfolio.entries().iter().filter(|e| e.name() != target))
+        .cloned()
+        .collect();
+    assert!(rows.len() > 1, "portfolio must hold a rival for '{target}'");
+    let cells = run_cells(
+        &rows,
+        std::slice::from_ref(inst),
+        &[0],
+        seed,
+        max_threads,
+        pool,
+        &NullClock,
+    )?;
+    let target_makespan = cells[0].makespan;
+    // The earliest rival wins ties.
+    let (bi, best_rival_makespan) = cells[1..]
+        .iter()
+        .map(|c| c.makespan)
+        .enumerate()
+        .min_by_key(|&(_, m)| m)
+        .expect("field is non-empty");
     Ok(RatioBreakdown {
         ratio: target_makespan as f64 / best_rival_makespan.max(1) as f64,
         target_makespan,
-        best_rival: field.entries()[bi].name().to_string(),
+        best_rival: rows[bi + 1].name().to_string(),
         best_rival_makespan,
     })
 }
@@ -306,16 +307,10 @@ pub fn adversarial_search(
         trajectory.push(best.1.ratio);
     }
 
-    // Snapshot the pool counters before draining it: the drain's own
-    // takes must not count as reuse.
-    let pool_stats = pool.stats();
     let mut metrics = MetricsRegistry::new();
     metrics.add("adversary.evaluations", evaluations);
     metrics.add("adversary.cache_hits", cache_hits);
-    pool_stats.record_into(&mut metrics);
-    while !pool.is_empty() {
-        pool.take().route_cache_stats().record_into(&mut metrics);
-    }
+    record_pool(&pool, &mut metrics);
 
     Ok(AdversaryOutcome {
         graph: best.0,

@@ -25,14 +25,14 @@
 //! from the command line; `docs/ARCHITECTURE.md` shows where it sits in
 //! the crate graph.
 
-use anneal_core::parallel::{run_chunked_pooled, ScratchPool};
+use anneal_core::parallel::ScratchPool;
 use anneal_graph::generate::{
     chain, fork_join, gnp_dag, independent, layered_random, series_parallel, LayeredConfig, Range,
 };
 use anneal_graph::units::us;
 use anneal_obs::{Clock, JsonlSink, MetricsRegistry, NullClock, Recorder};
 use anneal_report::Csv;
-use anneal_sim::{KernelRunStats, SimError, SimScratch};
+use anneal_sim::SimError;
 use anneal_topology::builders::{binary_tree, bus, hypercube, linear, mesh, ring, star, torus};
 use anneal_topology::Topology;
 use rand::rngs::StdRng;
@@ -40,7 +40,7 @@ use rand::SeedableRng;
 
 use crate::instance::ArenaInstance;
 use crate::portfolio::Portfolio;
-use crate::tournament::cell_seed;
+use crate::tournament::{cell_seed, record_cells, run_cells};
 
 /// Salt separating instance-generation seeds from tournament cell
 /// seeds that share the same base seed.
@@ -379,47 +379,45 @@ pub fn run_shard_observed(
         .iter()
         .map(|&j| campaign_instance(cfg.base_seed, j))
         .collect();
-    let rows = portfolio.len();
-    let cols = columns.len();
     let shard_start = clock.now_ns();
-    let pool: ScratchPool<SimScratch> = ScratchPool::new();
-    let cells: Vec<Result<(u64, u64, KernelRunStats), SimError>> =
-        run_chunked_pooled(rows * cols, cfg.max_threads, &pool, |scratch, k| {
-            let (e, c) = (k / cols, k % cols);
-            let seed = cell_seed(cfg.base_seed, e as u64, columns[c] as u64);
-            let start = clock.now_ns();
-            let makespan =
-                portfolio.entries()[e].evaluate_makespan(&instances[c], seed, scratch)?;
-            let wall_ns = clock.now_ns().saturating_sub(start);
-            Ok((makespan, wall_ns, scratch.last_run_stats()))
-        });
+    let pool = ScratchPool::new();
+    let cells = run_cells(
+        portfolio.entries(),
+        &instances,
+        &columns,
+        cfg.base_seed,
+        cfg.max_threads,
+        &pool,
+        clock,
+    )?;
     let shard_ns = clock.now_ns().saturating_sub(shard_start);
-
-    let mut registry = MetricsRegistry::new();
-    let mut obs_cells = Vec::with_capacity(rows * cols);
-    let mut makespans = vec![vec![0u64; rows]; cols];
-    for (k, cell) in cells.into_iter().enumerate() {
-        let (e, c) = (k / cols, k % cols);
-        let (makespan, wall_ns, stats) = cell?;
-        makespans[c][e] = makespan;
-        registry.add("arena.cells", 1);
-        registry.observe("arena.makespan_ns", makespan);
-        registry.observe("time.cell_ns", wall_ns);
-        stats.record_into(&mut registry);
-        obs_cells.push(CellObs {
-            instance_index: columns[c],
-            instance: instances[c].name.clone(),
-            scheduler: portfolio.entries()[e].name().to_string(),
-            makespan,
-            wall_ns,
-        });
-    }
+    let mut registry = record_cells(&cells, &pool);
     registry.add("time.shard_ns", shard_ns);
-    // Snapshot before draining: the drain's takes must not count.
-    pool.stats().record_into(&mut registry);
-    while !pool.is_empty() {
-        pool.take().route_cache_stats().record_into(&mut registry);
-    }
+
+    // Cells come in job order (entry-major); the artifact is
+    // column-major.
+    let cols = columns.len();
+    let makespans = (0..cols)
+        .map(|c| {
+            cells
+                .iter()
+                .skip(c)
+                .step_by(cols)
+                .map(|x| x.makespan)
+                .collect()
+        })
+        .collect();
+    let obs_cells = cells
+        .iter()
+        .enumerate()
+        .map(|(k, cell)| CellObs {
+            instance_index: columns[k % cols],
+            instance: instances[k % cols].name.clone(),
+            scheduler: portfolio.entries()[k / cols].name().to_string(),
+            makespan: cell.makespan,
+            wall_ns: cell.wall_ns,
+        })
+        .collect();
 
     let result = ShardResult {
         shard,
@@ -638,6 +636,38 @@ mod tests {
         assert_eq!(
             one.histogram("arena.makespan_ns").map(|h| h.count()),
             Some(18)
+        );
+    }
+
+    #[test]
+    fn one_shard_campaign_is_the_tournament_transposed() {
+        // Both layouts run the same matrix runner: a single-shard
+        // campaign and a tournament over the same family and seed give
+        // the same cells and the same deterministic metrics.
+        let p = Portfolio::fast();
+        let cfg = CampaignConfig {
+            instances: 6,
+            shards: 1,
+            base_seed: 9,
+            max_threads: 2,
+        };
+        let (shard, obs) = run_shard_observed(&p, &cfg, 0, &NullClock).unwrap();
+        let tcfg = crate::TournamentConfig {
+            base_seed: 9,
+            max_threads: 2,
+        };
+        let (tour, reg) =
+            crate::run_tournament_observed(&p, &campaign_instances(9, 6), &tcfg, &NullClock)
+                .unwrap();
+        assert_eq!(tour.instances, shard.instances);
+        for (c, row) in shard.makespans.iter().enumerate() {
+            for (e, &m) in row.iter().enumerate() {
+                assert_eq!(m, tour.makespans[e][c], "entry {e}, column {c}");
+            }
+        }
+        assert_eq!(
+            obs.registry.deterministic_only().to_json(),
+            reg.deterministic_only().to_json()
         );
     }
 

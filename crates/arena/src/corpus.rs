@@ -33,7 +33,7 @@ use std::path::Path;
 use anneal_graph::textio::{from_text_with_meta, to_text_with_meta, TextMeta};
 use anneal_graph::{GraphError, TaskGraph};
 use anneal_topology::builders::{
-    binary_tree, bus, complete, hypercube, linear, mesh, ring, star, torus,
+    binary_tree, bus, complete, hypercube, linear, mesh, ring, shared_bus, star, torus,
 };
 use anneal_topology::{CommParams, Topology};
 
@@ -190,7 +190,8 @@ impl FrozenInstance {
 
 /// Parses a host-topology spec: a builder name followed by its integer
 /// arguments, e.g. `hypercube 3`, `ring 5`, `mesh 3 2`, `torus 3 3`,
-/// `bus 4`, `linear 4`, `star 6`, `binary_tree 7`, `complete 4`.
+/// `bus 4`, `sharedbus 4`, `linear 4`, `star 6`, `binary_tree 7`,
+/// `complete 4`.
 pub fn parse_topology(spec: &str) -> Result<Topology, CorpusError> {
     let bad = || CorpusError::BadSpec {
         what: "topology",
@@ -207,6 +208,7 @@ pub fn parse_topology(spec: &str) -> Result<Topology, CorpusError> {
         ("hypercube", [d]) if *d <= 16 => hypercube(*d as u32),
         ("ring", [n]) if *n >= 2 => ring(*n),
         ("bus", [n]) if *n >= 1 => bus(*n),
+        ("sharedbus", [n]) if *n >= 1 => shared_bus(*n),
         ("linear", [n]) if *n >= 1 => linear(*n),
         ("star", [n]) if *n >= 2 => star(*n),
         ("complete", [n]) if *n >= 1 => complete(*n),
@@ -318,6 +320,7 @@ mod tests {
             ("hypercube 3", 8),
             ("ring 5", 5),
             ("bus 4", 4),
+            ("sharedbus 3", 3),
             ("linear 4", 4),
             ("star 6", 6),
             ("complete 4", 4),
@@ -343,6 +346,7 @@ mod tests {
             "torus 1 3",
             "mesh 0 2",
             "bus 0",
+            "sharedbus 0",
             "hypercube 20",
         ] {
             assert!(parse_topology(bad).is_err(), "{bad:?} should not parse");

@@ -12,13 +12,16 @@
 //!   list family, MCT, greedy, HEFT, CPOP, staged SA and whole-graph
 //!   static SA) behind one factory interface, and [`run_tournament`]
 //!   evaluates the full portfolio × instance matrix in parallel with a
-//!   deterministic seed per cell. Mapping-producing entries (static SA)
-//!   are evaluated through `anneal-core`'s shared evaluation layer —
-//!   [`Portfolio::standard_with_lanes`] picks the
-//!   [`EvaluatorKind`](anneal_core::EvaluatorKind) (full replay vs the
+//!   deterministic seed per cell. Every entry is an online-scheduler
+//!   factory; whole-graph static SA anneals a mapping inside its
+//!   factory and hands it back as a fixed-mapping scheduler, pricing
+//!   its annealing moves with the
+//!   [`EvaluatorKind`](anneal_core::EvaluatorKind) that
+//!   [`Portfolio::standard_with_lanes`] picks (full replay vs the
 //!   incremental kernel; bit-identical results, very different cost).
-//!   Results feed `anneal-report`: a head-to-head CSV table and an SVG
-//!   win/loss matrix.
+//!   Results feed `anneal-report`: a head-to-head CSV table, an SVG
+//!   win/loss matrix and one standings rule (wins, mean and worst
+//!   ratio) shared with campaign merges.
 //! * **Adversarial instance search** ([`adversary`]) — PISA-style
 //!   benchmarking (problem-space search for the instances that separate
 //!   algorithms, rather than a fixed benchmark set):
@@ -49,7 +52,7 @@
 //! their seed from (base seed, scheduler index, instance index) via a
 //! SplitMix64-style mixer, the adversary threads one seeded RNG, and
 //! thread-pool sizing never changes results (see
-//! `anneal_core::parallel::run_chunked`).
+//! `anneal_core::parallel::run_chunked_pooled`).
 //!
 //! ```
 //! use anneal_arena::{run_tournament, standard_instances, Portfolio, TournamentConfig};
@@ -90,5 +93,5 @@ pub use corpus::{
     CORPUS_EXTENSION, REGRESSION_TOLERANCE,
 };
 pub use instance::{paper_instances, smoke_instances, standard_instances, ArenaInstance};
-pub use portfolio::{MappedSchedule, Portfolio, PortfolioEntry};
+pub use portfolio::{Portfolio, PortfolioEntry};
 pub use tournament::{run_tournament, run_tournament_observed, TournamentConfig, TournamentResult};

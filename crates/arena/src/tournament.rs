@@ -3,25 +3,22 @@
 //! Every `(scheduler, instance)` cell is an independent evaluation with
 //! a seed mixed deterministically from `(base_seed, row, column)`, so
 //! the whole matrix is reproducible bit-for-bit regardless of the
-//! thread cap; fan-out goes through
-//! [`anneal_core::parallel::run_chunked_scratch`], each worker carrying
-//! one `anneal_sim::SimScratch` across all its cells. Cells route
-//! through
-//! [`PortfolioEntry::evaluate_makespan`](crate::PortfolioEntry): the
-//! fast-path kernel (no Gantt, no statistics, reused buffers, cached
-//! route tables) with makespans bit-identical to the full engine, and
-//! mapped entries (whole-graph static SA) additionally price their
-//! annealing moves through `anneal-core`'s incremental evaluator.
+//! thread cap. Tournaments, campaign shards and the adversary's ratio
+//! loop all run their cells through one matrix runner here, which fans
+//! out with [`anneal_core::parallel::run_chunked_pooled`]: each worker
+//! draws one warm `anneal_sim::SimScratch` from a caller-owned pool and
+//! carries it across all its cells. Cells route through
+//! [`PortfolioEntry::evaluate_makespan`]: the fast-path kernel (no
+//! Gantt, no statistics, reused buffers, cached route tables) with
+//! makespans bit-identical to [`simulate`](anneal_sim::simulate).
 
 use anneal_core::parallel::{run_chunked_pooled, ScratchPool};
 use anneal_obs::{Clock, MetricsRegistry, NullClock, Recorder};
-use anneal_report::{render_win_loss_matrix, Csv, WinLossOptions};
-use anneal_sim::KernelRunStats;
-use anneal_sim::SimError;
-use anneal_sim::SimScratch;
+use anneal_report::{ratio_to_best, render_win_loss_matrix, Csv, Standing, WinLossOptions};
+use anneal_sim::{KernelRunStats, SimError, SimScratch};
 
 use crate::instance::ArenaInstance;
-use crate::portfolio::Portfolio;
+use crate::portfolio::{Portfolio, PortfolioEntry};
 
 /// Tournament settings.
 #[derive(Debug, Clone)]
@@ -51,6 +48,74 @@ pub(crate) fn cell_seed(base: u64, row: u64, col: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One evaluated cell of a matrix run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cell {
+    /// The cell's makespan (ns).
+    pub makespan: u64,
+    /// Wall time of the cell read from the run's clock (ns).
+    pub wall_ns: u64,
+    /// The fast-path kernel's counters for the cell.
+    pub stats: KernelRunStats,
+}
+
+/// The one matrix runner: evaluates every `(row, column)` cell — entry
+/// `rows[r]` on `instances[c]` with seed
+/// `cell_seed(base_seed, r, columns[c])`, where `columns` holds the
+/// instances' global column indices — on at most `max_threads` workers
+/// drawing scratch from `pool`. Returns the cells in job order
+/// (row-major), or the first error in job order.
+pub(crate) fn run_cells(
+    rows: &[PortfolioEntry],
+    instances: &[ArenaInstance],
+    columns: &[usize],
+    base_seed: u64,
+    max_threads: usize,
+    pool: &ScratchPool<SimScratch>,
+    clock: &(dyn Clock + Sync),
+) -> Result<Vec<Cell>, SimError> {
+    let cols = instances.len();
+    run_chunked_pooled(rows.len() * cols, max_threads, pool, |scratch, k| {
+        let (r, c) = (k / cols, k % cols);
+        let seed = cell_seed(base_seed, r as u64, columns[c] as u64);
+        let start = clock.now_ns();
+        let makespan = rows[r].evaluate_makespan(&instances[c], seed, scratch)?;
+        let wall_ns = clock.now_ns().saturating_sub(start);
+        Ok(Cell {
+            makespan,
+            wall_ns,
+            stats: scratch.last_run_stats(),
+        })
+    })
+    .into_iter()
+    .collect()
+}
+
+/// The metrics of one matrix run: per cell `arena.cells`,
+/// `arena.makespan_ns`, `time.cell_ns` and the kernel counters, then
+/// the pool's statistics (see [`record_pool`]).
+pub(crate) fn record_cells(cells: &[Cell], pool: &ScratchPool<SimScratch>) -> MetricsRegistry {
+    let mut registry = MetricsRegistry::new();
+    for cell in cells {
+        registry.add("arena.cells", 1);
+        registry.observe("arena.makespan_ns", cell.makespan);
+        registry.observe("time.cell_ns", cell.wall_ns);
+        cell.stats.record_into(&mut registry);
+    }
+    record_pool(pool, &mut registry);
+    registry
+}
+
+/// Records `pool`'s hit/miss counters, then drains it and records each
+/// scratch's route-cache counters. The snapshot comes first, so the
+/// drain's own takes do not count as reuse.
+pub(crate) fn record_pool(pool: &ScratchPool<SimScratch>, registry: &mut MetricsRegistry) {
+    pool.stats().record_into(registry);
+    while !pool.is_empty() {
+        pool.take().route_cache_stats().record_into(registry);
+    }
+}
+
 /// The full result matrix of one tournament.
 #[derive(Debug, Clone)]
 pub struct TournamentResult {
@@ -78,12 +143,7 @@ impl TournamentResult {
     /// `makespan(i, j) / best makespan on j` — 1.0 for the per-instance
     /// winner.
     pub fn ratio(&self, i: usize, j: usize) -> f64 {
-        let (_, best) = self.best_for_instance(j);
-        if best == 0 {
-            1.0
-        } else {
-            self.makespans[i][j] as f64 / best as f64
-        }
+        ratio_to_best(self.makespans[i][j], self.best_for_instance(j).1)
     }
 
     /// The full ratio matrix, rows in scheduler order.
@@ -97,19 +157,18 @@ impl TournamentResult {
             .collect()
     }
 
+    /// Per-scheduler wins, mean ratio and worst ratio, by
+    /// [`anneal_report::standings`].
+    pub fn standings(&self) -> Vec<Standing> {
+        anneal_report::standings(self.schedulers.len(), self.instances.len(), |i, j| {
+            self.makespans[i][j]
+        })
+    }
+
     /// Per-scheduler count of instances where it attains the best
     /// makespan (ties count for every scheduler that attains it).
     pub fn wins(&self) -> Vec<usize> {
-        let mut wins = vec![0usize; self.schedulers.len()];
-        for j in 0..self.instances.len() {
-            let (_, best) = self.best_for_instance(j);
-            for (i, row) in self.makespans.iter().enumerate() {
-                if row[j] == best {
-                    wins[i] += 1;
-                }
-            }
-        }
-        wins
+        self.standings().iter().map(|s| s.wins).collect()
     }
 
     /// Head-to-head record of row `a` against row `b`:
@@ -136,16 +195,16 @@ impl TournamentResult {
         header.push("wins".into());
         header.push("mean_ratio".into());
         csv.row(&header);
-        let wins = self.wins();
-        for (i, name) in self.schedulers.iter().enumerate() {
+        for ((name, makespans), s) in self
+            .schedulers
+            .iter()
+            .zip(&self.makespans)
+            .zip(self.standings())
+        {
             let mut row = vec![name.clone()];
-            row.extend(self.makespans[i].iter().map(|m| m.to_string()));
-            row.push(wins[i].to_string());
-            let mean = (0..self.instances.len())
-                .map(|j| self.ratio(i, j))
-                .sum::<f64>()
-                / (self.instances.len().max(1)) as f64;
-            row.push(anneal_report::csv::f(mean, 4));
+            row.extend(makespans.iter().map(|m| m.to_string()));
+            row.push(s.wins.to_string());
+            row.push(anneal_report::csv::f(s.mean_ratio, 4));
             csv.row(&row);
         }
         csv
@@ -192,38 +251,25 @@ pub fn run_tournament_observed(
 ) -> Result<(TournamentResult, MetricsRegistry), SimError> {
     assert!(!portfolio.is_empty(), "empty portfolio");
     assert!(!instances.is_empty(), "no instances");
-    let rows = portfolio.len();
-    let cols = instances.len();
+    let columns: Vec<usize> = (0..instances.len()).collect();
     let start = clock.now_ns();
-    let pool: ScratchPool<SimScratch> = ScratchPool::new();
-    let cells: Vec<Result<(u64, u64, KernelRunStats), SimError>> =
-        run_chunked_pooled(rows * cols, cfg.max_threads, &pool, |scratch, k| {
-            let (i, j) = (k / cols, k % cols);
-            let seed = cell_seed(cfg.base_seed, i as u64, j as u64);
-            let cell_start = clock.now_ns();
-            let makespan =
-                portfolio.entries()[i].evaluate_makespan(&instances[j], seed, scratch)?;
-            let wall_ns = clock.now_ns().saturating_sub(cell_start);
-            Ok((makespan, wall_ns, scratch.last_run_stats()))
-        });
+    let pool = ScratchPool::new();
+    let cells = run_cells(
+        portfolio.entries(),
+        instances,
+        &columns,
+        cfg.base_seed,
+        cfg.max_threads,
+        &pool,
+        clock,
+    )?;
     let total_ns = clock.now_ns().saturating_sub(start);
-
-    let mut registry = MetricsRegistry::new();
-    let mut makespans = vec![vec![0u64; cols]; rows];
-    for (k, cell) in cells.into_iter().enumerate() {
-        let (makespan, wall_ns, stats) = cell?;
-        makespans[k / cols][k % cols] = makespan;
-        registry.add("arena.cells", 1);
-        registry.observe("arena.makespan_ns", makespan);
-        registry.observe("time.cell_ns", wall_ns);
-        stats.record_into(&mut registry);
-    }
+    let mut registry = record_cells(&cells, &pool);
     registry.add("time.total_ns", total_ns);
-    // Snapshot before draining: the drain's takes must not count.
-    pool.stats().record_into(&mut registry);
-    while !pool.is_empty() {
-        pool.take().route_cache_stats().record_into(&mut registry);
-    }
+    let makespans = cells
+        .chunks(instances.len())
+        .map(|row| row.iter().map(|c| c.makespan).collect())
+        .collect();
     Ok((
         TournamentResult {
             schedulers: portfolio.names(),

@@ -121,24 +121,18 @@ fn main() {
     )
     .expect("tournament run failed");
 
-    let wins = result.wins();
+    let n = result.instances.len();
     let mut table =
         Table::new(vec!["Scheduler", "Wins", "Mean ratio", "Worst ratio"]).with_title(format!(
-            "Arena: {} schedulers x {} instances (seed {seed})",
+            "Arena: {} schedulers x {n} instances (seed {seed})",
             result.schedulers.len(),
-            result.instances.len()
         ));
-    for (i, name) in result.schedulers.iter().enumerate() {
-        let ratios: Vec<f64> = (0..result.instances.len())
-            .map(|j| result.ratio(i, j))
-            .collect();
-        let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
-        let worst = ratios.iter().cloned().fold(0.0f64, f64::max);
+    for (name, s) in result.schedulers.iter().zip(result.standings()) {
         table.row(vec![
             name.clone(),
-            format!("{}/{}", wins[i], result.instances.len()),
-            f(mean, 4),
-            f(worst, 4),
+            format!("{}/{n}", s.wins),
+            f(s.mean_ratio, 4),
+            f(s.worst_ratio, 4),
         ]);
     }
     print!("{}", table.render());

@@ -153,8 +153,8 @@ pub trait Evaluator {
 ///
 /// The single shared implementation of "evaluate a static schedule
 /// under the simulator's timing model": `static_sa` uses it for its
-/// final result, and the arena's mapped portfolio entries route their
-/// cell evaluations through it.
+/// final result. It is [`simulate`] over a [`FixedMapping`], which is
+/// also how the arena's `static-sa` entry replays its mapping.
 pub fn replay_mapping(
     g: &TaskGraph,
     topo: &Topology,

@@ -2,16 +2,18 @@
 //!
 //! Simulated annealing is stochastic; independent restarts with
 //! different seeds explore different basins, and the per-packet runs are
-//! embarrassingly parallel across restarts. `best_of_restarts` runs one
-//! full schedule-and-simulate per seed (std scoped threads; no shared
-//! mutable state) and keeps the best makespan — deterministic given the
-//! seed list.
+//! embarrassingly parallel across restarts. [`best_of_restarts`] and
+//! [`best_of_static_restarts`] run one full schedule per seed (std
+//! scoped threads; no shared mutable state) and keep the best makespan
+//! — deterministic given the seed list.
 //!
-//! [`run_chunked`] is the underlying fan-out primitive: it executes `n`
-//! independent jobs on at most `max_threads` worker threads (strided
-//! assignment, results gathered by job index) so callers never spawn one
-//! thread per job. The arena tournament runner (`anneal-arena`) reuses
-//! it for its portfolio × instance matrix.
+//! Two fan-out entry points execute `n` independent jobs on at most
+//! `max_threads` worker threads (strided assignment, results gathered
+//! by job index) so callers never spawn one thread per job:
+//! [`run_chunked`] for stateless jobs, and [`run_chunked_pooled`] for
+//! jobs that reuse per-worker scratch drawn from a [`ScratchPool`]. The
+//! arena's matrix runner (`anneal-arena`) uses the pooled one for every
+//! portfolio × instance cell.
 
 use anneal_graph::TaskGraph;
 use anneal_sim::{simulate, SimConfig, SimError, SimResult};
@@ -39,96 +41,18 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_chunked_scratch(jobs, max_threads, || (), |(), i| f(i))
+    run_chunked_pooled(jobs, max_threads, &ScratchPool::new(), |(), i| f(i))
 }
 
-/// [`run_chunked`] with **per-worker scratch state**: each worker calls
-/// `init` once on its own thread and threads the resulting value
-/// through every job it handles. This is how evaluation scratch
-/// (`anneal_sim::SimScratch`) is reused *across* cells of a tournament
-/// or campaign shard instead of being rebuilt per cell — the worker's
-/// scratch stays warm from job to job. Results must not depend on the
-/// scratch state (scratch is an optimization, never an input), so the
-/// output remains reproducible under any thread cap.
-pub fn run_chunked_scratch<T, S, I, F>(jobs: usize, max_threads: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_chunked_impl(jobs, max_threads, init, drop, f)
-}
-
-/// The one fan-out loop behind [`run_chunked`], [`run_chunked_scratch`]
-/// and [`run_chunked_pooled`]: strided job assignment, per-worker
-/// scratch obtained from `init` and handed to `done` when the worker
-/// finishes (both run on the worker's own thread).
-// lint:allow(panic) reason="worker panics are propagated; the strided split covers every job index once"
-fn run_chunked_impl<T, S, I, D, F>(
-    jobs: usize,
-    max_threads: usize,
-    init: I,
-    done: D,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    D: Fn(S) + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    if jobs == 0 {
-        return Vec::new();
-    }
-    let threads = if max_threads == 0 {
-        default_max_threads()
-    } else {
-        max_threads
-    }
-    .min(jobs);
-    let f = &f;
-    let init = &init;
-    let done = &done;
-    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut scratch = init();
-                    let mut out = Vec::new();
-                    let mut i = w;
-                    while i < jobs {
-                        out.push((i, f(&mut scratch, i)));
-                        i += threads;
-                    }
-                    done(scratch);
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, v) in h.join().expect("worker thread panicked") {
-                slots[i] = Some(v);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every job index is covered by exactly one worker"))
-        .collect()
-}
-
-/// A shared pool of scratch values for *repeated* fan-outs.
+/// A shared pool of per-worker scratch values for
+/// [`run_chunked_pooled`].
 ///
-/// [`run_chunked_scratch`] warms one scratch per worker, but the
-/// workers die with the call — a caller that fans out thousands of
-/// times (the adversarial search prices every candidate instance
-/// against the whole portfolio) would re-warm from scratch on every
-/// fan-out. A `ScratchPool` keeps the warmed values alive between
-/// calls: workers take one at start ([`ScratchPool::take`] falls back
-/// to `Default` when the pool is dry) and return it when done, so
-/// across an entire search only about `max_threads` scratches are ever
-/// created.
+/// Each worker takes one scratch at start ([`ScratchPool::take`] falls
+/// back to `Default` when the pool is dry), threads it through every
+/// job it handles, and returns it when done. A caller that fans out
+/// thousands of times (the adversarial search prices every candidate
+/// instance against the whole portfolio) keeps one pool alive across
+/// calls, so only about `max_threads` scratches are ever created.
 #[derive(Debug)]
 pub struct ScratchPool<S> {
     pool: std::sync::Mutex<PoolInner<S>>,
@@ -228,8 +152,16 @@ impl<S: Default> ScratchPool<S> {
     }
 }
 
-/// [`run_chunked_scratch`] drawing worker scratches from (and returning
-/// them to) a [`ScratchPool`], for callers that fan out repeatedly.
+/// [`run_chunked`] with **per-worker scratch state** drawn from (and
+/// returned to) `pool`: each worker takes one scratch on its own
+/// thread, threads it through every job it handles and puts it back
+/// when done, so evaluation scratch (`anneal_sim::SimScratch`) stays
+/// warm across cells instead of being rebuilt per cell. Results must
+/// not depend on the scratch state (scratch is an optimization, never
+/// an input), so the output remains reproducible under any thread cap.
+/// This is the one fan-out loop; [`run_chunked`] runs on it with a
+/// scratch-free pool.
+// lint:allow(panic) reason="worker panics are propagated; the strided split covers every job index once"
 pub fn run_chunked_pooled<T, S, F>(
     jobs: usize,
     max_threads: usize,
@@ -241,7 +173,43 @@ where
     S: Default + Send,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    run_chunked_impl(jobs, max_threads, || pool.take(), |s| pool.put(s), f)
+    if jobs == 0 {
+        return Vec::new();
+    }
+    let threads = if max_threads == 0 {
+        default_max_threads()
+    } else {
+        max_threads
+    }
+    .min(jobs);
+    let f = &f;
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|w| {
+                scope.spawn(move || {
+                    let mut scratch = pool.take();
+                    let mut out = Vec::new();
+                    let mut i = w;
+                    while i < jobs {
+                        out.push((i, f(&mut scratch, i)));
+                        i += threads;
+                    }
+                    pool.put(scratch);
+                    out
+                })
+            })
+            .collect();
+        for h in handles {
+            for (i, v) in h.join().expect("worker thread panicked") {
+                slots[i] = Some(v);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every job index is covered by exactly one worker"))
+        .collect()
 }
 
 /// Outcome of a restart sweep.
@@ -266,26 +234,28 @@ impl RestartOutcome {
     }
 }
 
-/// Runs one full SA schedule per seed (in parallel, capped at the
-/// machine's available parallelism) and returns the best by makespan;
-/// ties break toward the earlier seed in `seeds`.
-pub fn best_of_restarts(
-    graph: &TaskGraph,
-    topology: &Topology,
-    params: &CommParams,
-    base: &SaConfig,
-    seeds: &[u64],
-    sim_cfg: &SimConfig,
-) -> Result<RestartOutcome, SimError> {
-    best_of_restarts_capped(graph, topology, params, base, seeds, sim_cfg, 0)
+/// The restart pick shared by both sweeps: the first error in seed
+/// order, else the index of the lowest makespan (ties break toward the
+/// earlier seed), that run, and every seed's makespan in input order.
+// lint:allow(panic) reason="both sweeps assert at least one seed, so one run exists"
+fn pick_best<R>(
+    results: Vec<Result<R, SimError>>,
+    makespan: impl Fn(&R) -> u64,
+) -> Result<(usize, R, Vec<u64>), SimError> {
+    let mut runs = results.into_iter().collect::<Result<Vec<R>, _>>()?;
+    let all: Vec<u64> = runs.iter().map(makespan).collect();
+    let idx = (0..all.len())
+        .min_by_key(|&i| all[i])
+        .expect("at least one seed");
+    Ok((idx, runs.swap_remove(idx), all))
 }
 
-/// [`best_of_restarts`] with an explicit thread cap (`0` =
-/// [`default_max_threads`]). The outcome is identical for every cap —
-/// only the degree of concurrency changes.
-#[allow(clippy::too_many_arguments)]
-// lint:allow(panic) reason="num_seeds >= 1 is asserted above, so one outcome exists"
-pub fn best_of_restarts_capped(
+/// Runs one full SA schedule per seed (in parallel, capped at
+/// `max_threads`; `0` = [`default_max_threads`]) and returns the best
+/// by makespan; ties break toward the earlier seed in `seeds`. The
+/// outcome is identical for every cap — only the degree of concurrency
+/// changes.
+pub fn best_of_restarts(
     graph: &TaskGraph,
     topology: &Topology,
     params: &CommParams,
@@ -300,33 +270,18 @@ pub fn best_of_restarts_capped(
     // (no allocation at the steady-state high-water mark). Scratch is
     // never an input — outcomes are identical for any thread cap.
     let pool: ScratchPool<SaScratch> = ScratchPool::new();
-    let results: Vec<Result<SimResult, SimError>> =
-        run_chunked_pooled(seeds.len(), max_threads, &pool, |scratch, i| {
-            let mut sched = SaScheduler::new(base.clone().with_seed(seeds[i]));
-            sched.set_scratch(std::mem::take(scratch));
-            let r = simulate(graph, topology, params, &mut sched, sim_cfg);
-            *scratch = sched.take_scratch();
-            r
-        });
-
-    let mut best: Option<(usize, SimResult)> = None;
-    let mut all = Vec::with_capacity(seeds.len());
-    for (i, r) in results.into_iter().enumerate() {
-        let r = r?;
-        all.push(r.makespan);
-        let better = match &best {
-            None => true,
-            Some((_, b)) => r.makespan < b.makespan,
-        };
-        if better {
-            best = Some((i, r));
-        }
-    }
-    let (idx, result) = best.expect("at least one seed");
+    let results = run_chunked_pooled(seeds.len(), max_threads, &pool, |scratch, i| {
+        let mut sched = SaScheduler::new(base.clone().with_seed(seeds[i]));
+        sched.set_scratch(std::mem::take(scratch));
+        let r = simulate(graph, topology, params, &mut sched, sim_cfg);
+        *scratch = sched.take_scratch();
+        r
+    });
+    let (idx, result, all_makespans) = pick_best(results, |r: &SimResult| r.makespan)?;
     Ok(RestartOutcome {
         result,
         seed: seeds[idx],
-        all_makespans: all,
+        all_makespans,
     })
 }
 
@@ -350,8 +305,6 @@ pub struct StaticRestartOutcome {
 /// `base.evaluator` — with the default incremental kernel, a restart
 /// sweep that used to cost `seeds × moves` full simulations now costs
 /// `seeds` full simulations plus cheap suffix replays.
-#[allow(clippy::too_many_arguments)]
-// lint:allow(panic) reason="num_seeds >= 1 is asserted above, so one outcome exists"
 pub fn best_of_static_restarts(
     graph: &TaskGraph,
     topology: &Topology,
@@ -362,33 +315,19 @@ pub fn best_of_static_restarts(
     max_threads: usize,
 ) -> Result<StaticRestartOutcome, SimError> {
     assert!(!seeds.is_empty(), "need at least one seed");
-    let results: Vec<Result<StaticSaOutcome, SimError>> =
-        run_chunked(seeds.len(), max_threads, |i| {
-            let cfg = StaticSaConfig {
-                seed: seeds[i],
-                ..base.clone()
-            };
-            static_sa(graph, topology, params, sim_cfg, &cfg)
-        });
-
-    let mut best: Option<(usize, StaticSaOutcome)> = None;
-    let mut all = Vec::with_capacity(seeds.len());
-    for (i, r) in results.into_iter().enumerate() {
-        let r = r?;
-        all.push(r.result.makespan);
-        let better = match &best {
-            None => true,
-            Some((_, b)) => r.result.makespan < b.result.makespan,
+    let results = run_chunked(seeds.len(), max_threads, |i| {
+        let cfg = StaticSaConfig {
+            seed: seeds[i],
+            ..base.clone()
         };
-        if better {
-            best = Some((i, r));
-        }
-    }
-    let (idx, outcome) = best.expect("at least one seed");
+        static_sa(graph, topology, params, sim_cfg, &cfg)
+    });
+    let (idx, outcome, all_makespans) =
+        pick_best(results, |o: &StaticSaOutcome| o.result.makespan)?;
     Ok(StaticRestartOutcome {
         outcome,
         seed: seeds[idx],
-        all_makespans: all,
+        all_makespans,
     })
 }
 
@@ -425,6 +364,7 @@ mod tests {
             &SaConfig::default(),
             &[1, 2, 3, 4],
             &SimConfig::default(),
+            0,
         )
         .unwrap();
         assert_eq!(out.all_makespans.len(), 4);
@@ -446,6 +386,7 @@ mod tests {
                 &SaConfig::default(),
                 &[7, 8],
                 &SimConfig::default(),
+                0,
             )
             .unwrap()
         };
@@ -461,7 +402,7 @@ mod tests {
         let g = sample_graph();
         let topo = hypercube(3);
         let run = |cap: usize| {
-            best_of_restarts_capped(
+            best_of_restarts(
                 &g,
                 &topo,
                 &CommParams::paper(),
@@ -491,24 +432,20 @@ mod tests {
     }
 
     #[test]
-    fn run_chunked_scratch_reuses_per_worker_state() {
+    fn run_chunked_pooled_reuses_per_worker_state() {
         // With one worker, the scratch threads through every job in
         // order; results stay in job order regardless of cap.
-        let out = run_chunked_scratch(
-            6,
-            1,
-            || 0usize,
-            |seen, i| {
-                *seen += 1;
-                (i, *seen)
-            },
-        );
+        let pool: ScratchPool<usize> = ScratchPool::new();
+        let out = run_chunked_pooled(6, 1, &pool, |seen, i| {
+            *seen += 1;
+            (i, *seen)
+        });
         assert_eq!(out, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]);
         for cap in [0, 2, 5] {
-            let out = run_chunked_scratch(9, cap, || (), |(), i| i * 3);
+            let out = run_chunked_pooled(9, cap, &ScratchPool::<()>::new(), |(), i| i * 3);
             assert_eq!(out, (0..9).map(|i| i * 3).collect::<Vec<_>>(), "cap {cap}");
         }
-        assert!(run_chunked_scratch(0, 2, || (), |(), i| i).is_empty());
+        assert!(run_chunked_pooled(0, 2, &ScratchPool::<()>::new(), |(), i| i).is_empty());
     }
 
     #[test]
@@ -594,6 +531,7 @@ mod tests {
             &SaConfig::default(),
             &[1],
             &SimConfig::default(),
+            0,
         )
         .unwrap();
         let many = best_of_restarts(
@@ -603,6 +541,7 @@ mod tests {
             &SaConfig::default(),
             &[1, 2, 3, 4, 5, 6],
             &SimConfig::default(),
+            0,
         )
         .unwrap();
         assert!(many.result.makespan <= few.result.makespan);

@@ -41,8 +41,8 @@ pub use chart::{Chart, Series};
 pub use csv::Csv;
 pub use gantt::render_gantt;
 pub use merge::{
-    merge_shard_csvs, render_matrix_csv, scan_sealed_shards, MergeError, MergedCampaign, MergedRow,
-    ShardScan,
+    merge_shard_csvs, ratio_to_best, render_matrix_csv, scan_sealed_shards, standings, MergeError,
+    MergedCampaign, MergedRow, ShardScan, Standing,
 };
 pub use obs_summary::{
     render_fleet_summary, render_metrics_summary, render_time_share_svg, CellSample,

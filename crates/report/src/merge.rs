@@ -257,32 +257,13 @@ impl MergedCampaign {
         )
     }
 
-    /// Per-scheduler aggregate standings over every merged instance:
-    /// win count (ties count for all tied schedulers), mean and worst
-    /// makespan ratio versus the per-instance best.
+    /// Per-scheduler aggregate standings over every merged instance
+    /// (see [`standings`]).
     ///
     /// Header: `scheduler,instances,wins,mean_ratio,worst_ratio`.
     pub fn standings_csv(&self) -> Csv {
         let n = self.rows.len();
-        let mut wins = vec![0usize; self.schedulers.len()];
-        let mut ratio_sum = vec![0.0f64; self.schedulers.len()];
-        let mut ratio_max = vec![0.0f64; self.schedulers.len()];
-        for row in &self.rows {
-            // lint:allow(panic) reason="merge() rejected shards with empty scheduler headers"
-            let best = *row.makespans.iter().min().expect("non-empty header");
-            for (i, &m) in row.makespans.iter().enumerate() {
-                if m == best {
-                    wins[i] += 1;
-                }
-                let ratio = if best == 0 {
-                    1.0
-                } else {
-                    m as f64 / best as f64
-                };
-                ratio_sum[i] += ratio;
-                ratio_max[i] = ratio_max[i].max(ratio);
-            }
-        }
+        let table = standings(self.schedulers.len(), n, |i, j| self.rows[j].makespans[i]);
         let mut csv = Csv::new();
         csv.row(&[
             "scheduler",
@@ -291,17 +272,71 @@ impl MergedCampaign {
             "mean_ratio",
             "worst_ratio",
         ]);
-        for (i, name) in self.schedulers.iter().enumerate() {
+        for (name, s) in self.schedulers.iter().zip(&table) {
             csv.row(&[
                 name.clone(),
                 n.to_string(),
-                wins[i].to_string(),
-                f(ratio_sum[i] / (n.max(1)) as f64, 4),
-                f(ratio_max[i], 4),
+                s.wins.to_string(),
+                f(s.mean_ratio, 4),
+                f(s.worst_ratio, 4),
             ]);
         }
         csv
     }
+}
+
+/// One scheduler's aggregate over a set of instances (see
+/// [`standings`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Standing {
+    /// Instances where the scheduler attains the best makespan; ties
+    /// count for every tied scheduler.
+    pub wins: usize,
+    /// Mean of [`ratio_to_best`] over the instances, summed in
+    /// instance order (0.0 over no instances).
+    pub mean_ratio: f64,
+    /// Largest [`ratio_to_best`] (0.0 over no instances).
+    pub worst_ratio: f64,
+}
+
+/// A makespan relative to the instance's best: 1.0 for the winner, and
+/// 1.0 when the best is 0.
+pub fn ratio_to_best(makespan: u64, best: u64) -> f64 {
+    if best == 0 {
+        1.0
+    } else {
+        makespan as f64 / best as f64
+    }
+}
+
+/// The standings rule: wins, mean ratio and worst ratio per scheduler
+/// of a `schedulers × instances` makespan matrix read through
+/// `makespan(scheduler, instance)`. Tournament CSVs, campaign
+/// standings and the `arena` table all score through this one function.
+pub fn standings(
+    schedulers: usize,
+    instances: usize,
+    makespan: impl Fn(usize, usize) -> u64,
+) -> Vec<Standing> {
+    let mut table = vec![Standing::default(); schedulers];
+    for j in 0..instances {
+        let Some(best) = (0..schedulers).map(|i| makespan(i, j)).min() else {
+            break;
+        };
+        for (i, s) in table.iter_mut().enumerate() {
+            let m = makespan(i, j);
+            if m == best {
+                s.wins += 1;
+            }
+            let ratio = ratio_to_best(m, best);
+            s.mean_ratio += ratio;
+            s.worst_ratio = s.worst_ratio.max(ratio);
+        }
+    }
+    for s in &mut table {
+        s.mean_ratio /= instances.max(1) as f64;
+    }
+    table
 }
 
 #[cfg(test)]
@@ -344,6 +379,19 @@ mod tests {
         assert_eq!(lines[1], "hlf,3,2,1.0370,1.1111");
         // heft: wins on i0 and ties on i2; ratios 1.0, 80/70, 1.0
         assert_eq!(lines[2], "heft,3,2,1.0476,1.1429");
+    }
+
+    #[test]
+    fn standings_rule_edge_cases() {
+        // a zero best scores every scheduler 1.0, and ties win for all
+        let t = standings(2, 2, |i, j| [[0, 5], [0, 5]][i][j]);
+        for s in &t {
+            assert_eq!((s.wins, s.mean_ratio, s.worst_ratio), (2, 1.0, 1.0));
+        }
+        assert_eq!(ratio_to_best(150, 100), 1.5);
+        // no instances: zero wins and ratios; no schedulers: no rows
+        assert_eq!(standings(2, 0, |_, _| 1), vec![Standing::default(); 2]);
+        assert!(standings(0, 3, |_, _| 1).is_empty());
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //!
 //!   @ne | @gj | @fft | @mm     built-in paper workloads
 //!   --topo <spec>              hypercube:<dim> | bus:<n> | ring:<n> |
-//!                              star:<n> | mesh:<w>x<h> | torus:<w>x<h> |
-//!                              sharedbus:<n> | linear:<n>   (default hypercube:3)
+//!                              star:<n> | linear:<n> | sharedbus:<n> |
+//!                              complete:<n> | binary_tree:<n> |
+//!                              mesh:<w>x<h> | torus:<w>x<h>
+//!                              (default hypercube:3; degenerate sizes
+//!                              such as ring:1 are rejected)
 //!   --scheduler <sa|hlf|mct|fifo|lpt>     (default sa)
 //!   --no-comm                  disable the communication model
 //!   --seed <u64>               SA seed (default 42)
@@ -19,6 +22,7 @@
 //!   --dot <file>               export the graph as Graphviz DOT
 //! ```
 
+use annealsched::arena::parse_topology;
 use annealsched::core::list::{ListScheduler, PriorityPolicy};
 use annealsched::core::MctScheduler;
 use annealsched::graph::textio;
@@ -29,49 +33,23 @@ fn usage() -> ! {
     eprintln!(
         "usage: annealsched <graph.tg|@ne|@gj|@fft|@mm> [--topo spec] \
          [--scheduler sa|hlf|mct|fifo|lpt] [--no-comm] [--seed N] [--wb F] \
-         [--gantt] [--dot FILE]"
+         [--gantt] [--dot FILE]\n\
+         topology specs: hypercube:D bus:N ring:N star:N linear:N sharedbus:N \
+         complete:N binary_tree:N mesh:WxH torus:WxH (default hypercube:3)"
     );
     std::process::exit(2);
 }
 
-fn parse_topology(spec: &str) -> Topology {
-    let (kind, arg) = spec.split_once(':').unwrap_or((spec, ""));
-    let n = || -> usize {
-        arg.parse().unwrap_or_else(|_| {
-            eprintln!("bad topology size '{arg}'");
-            std::process::exit(2);
-        })
-    };
-    let wh = || -> (usize, usize) {
-        let Some((w, h)) = arg.split_once('x') else {
-            eprintln!("bad mesh/torus spec '{arg}' (want WxH)");
-            std::process::exit(2);
-        };
-        (
-            w.parse().unwrap_or_else(|_| usage()),
-            h.parse().unwrap_or_else(|_| usage()),
-        )
-    };
-    match kind {
-        "hypercube" => hypercube(n() as u32),
-        "bus" => bus(n()),
-        "ring" => ring(n()),
-        "star" => star(n()),
-        "linear" => linear(n()),
-        "sharedbus" => shared_bus(n()),
-        "mesh" => {
-            let (w, h) = wh();
-            mesh(w, h)
-        }
-        "torus" => {
-            let (w, h) = wh();
-            torus(w, h)
-        }
-        other => {
-            eprintln!("unknown topology '{other}'");
-            std::process::exit(2);
-        }
-    }
+/// Builds the host from a CLI spec (`kind:N` or `kind:WxH`) through
+/// the guarded corpus parser, so degenerate sizes are usage errors
+/// instead of builder panics.
+fn host_topology(spec: &str) -> Topology {
+    let (kind, args) = spec.split_once(':').unwrap_or((spec, ""));
+    let words: Vec<&str> = std::iter::once(kind).chain(args.split('x')).collect();
+    parse_topology(&words.join(" ")).unwrap_or_else(|_| {
+        eprintln!("bad topology '{spec}' (see --help for the valid specs)");
+        std::process::exit(2);
+    })
 }
 
 fn main() {
@@ -134,7 +112,7 @@ fn main() {
             })
         }
     };
-    let host = parse_topology(&topo_spec);
+    let host = host_topology(&topo_spec);
     let params = if comm {
         CommParams::paper()
     } else {

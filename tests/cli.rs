@@ -70,6 +70,13 @@ fn rejects_bad_arguments() {
     assert!(!out.status.success());
     let out = bin().output().unwrap();
     assert!(!out.status.success());
+    // degenerate sizes are usage errors, not builder panics
+    for spec in ["ring:1", "torus:1x5", "star:1"] {
+        let out = bin().args(["@ne", "--topo", spec]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
+    }
 }
 
 #[test]

@@ -152,6 +152,7 @@ fn restarts_are_deterministic_in_parallel() {
         &SaConfig::default(),
         &[1, 2, 3],
         &SimConfig::default(),
+        0,
     )
     .unwrap();
     let out2 = best_of_restarts(
@@ -161,6 +162,7 @@ fn restarts_are_deterministic_in_parallel() {
         &SaConfig::default(),
         &[1, 2, 3],
         &SimConfig::default(),
+        0,
     )
     .unwrap();
     assert_eq!(out1.all_makespans, out2.all_makespans);
