@@ -43,6 +43,74 @@
 //! final mapping, and leave the RNG in the same state as the exact
 //! lane. `crates/core/tests/sa_lane.rs` pins this property with
 //! proptests; `tests/sa_lane_corpus.rs` pins it on the frozen corpus.
+//!
+//! # Certified state-free pricing
+//!
+//! The exact lane decides a move on `x = fl(fl(total(F_b+ΔF_b,
+//! F_c+ΔF_c) − cost)/T)`: two eq. 6 divisions, a subtraction and a
+//! division stand between the move's table lookups and its
+//! accept/reject branch. [`SaScratch::anneal_loaded`] decides on the
+//! state-free `x̃ = (k_b·ΔF_b + k_c·ΔF_c)/T` instead (`k_b = w_b/ΔF_b`,
+//! `k_c = w_c/ΔF_c`), computed straight in bucket-index space with one
+//! per-step factor `1/(T·w)`, and proves each decision equal to the
+//! exact one.
+//!
+//! * **Exact-integer invariant.** Levels and eq. 4 costs are integers.
+//!   `load_packet`/`load_epoch` check once per packet that `Σ levels`
+//!   and `Σ_t max_j comm` are below 2⁵³. Then every running `F_b`, `F_c`,
+//!   every `ΔF_b`, `ΔF_c` and every intermediate sum of the verbatim
+//!   pricing expressions is an exact integer. The running sums cannot
+//!   drift: they equal a from-scratch `raw_full()` bit for bit.
+//! * **The bound `E_k`.** With `u = 2⁻⁵³` and `M = k_b·Σlv +
+//!   k_c·Σ_t max_j cc` (which bounds `|k_b F_b| + |k_c F_c|` for every
+//!   mapping, and `|D|` for `D = k_b ΔF_b + k_c ΔF_c`): each eq. 6 term
+//!   carries two roundings and the sum one, so `cost` and `cand` are
+//!   each within `3u·M` of their real values. The subtraction adds
+//!   `u·|delta|` and the division `u·|x|`, so `|x − D/T| ≤ 8u·M/T`.
+//!   `x̃`'s five roundings add `6u·M/T`, and the index-space offset adds
+//!   `O(u·|x_lo|)`. So `|x − x̃| ≤ 15u·M/T + O(10⁻¹⁴)`. The lane takes
+//!   `E_k = 32u·M/T_k + 10⁻¹²` per temperature step.
+//! * **Decisions.** With `s` the rule's slope bound (¼ for the heat
+//!   bath, 1 for Metropolis on `x > 0`), `p(x)` lies within `s·E_k` of
+//!   the bracket of `x̃`'s bucket. Where one draw is certain, the lane
+//!   draws `u` and accepts on `u < lo − s·E_k`, rejects on `u ≥ hi +
+//!   s·E_k`. Past the last bucket the tail bracket `[0, p(tail_from) +
+//!   slack]` applies. Where `x̃` is more than `E_k` past the −37 edge
+//!   (Metropolis: 0) the move is accepted without a draw; more than
+//!   `E_k` past 700 it is rejected without a draw (heat bath only).
+//! * **Fallbacks.** Every case the bound cannot prove runs the exact
+//!   lane's expression:
+//!   - a draw inside the widened band is settled as `u < p(delta)` with
+//!     the same `u`;
+//!   - an `x̃` within `E_k` of a region edge is decided before any draw,
+//!     through [`AcceptTable::accept_lossless`] on the exact `delta`.
+//!     The edges are the −37 accept-without-draw edge, the 700 no-draw
+//!     reject edge, Metropolis' 0, and the last `exact` bucket, where
+//!     `p` may round to 1;
+//!   - so is every move of a step with a frozen `T ≤ TEMP_EPSILON`,
+//!     with `E_k > 10⁻³` (the band would swallow whole buckets), or
+//!     with a non-finite `T` or `E_k`;
+//!   - so is every move of a packet that fails the 2⁵³ check (`M = ∞`).
+//!
+//!   Decisions, the RNG stream, traces and outcomes therefore stay
+//!   bit-identical to [`SaLane::Exact`]. The exact `total()` runs on
+//!   accepted moves (for the new running cost) and on fallbacks only.
+//! * **Counters.** `shortcut` counts certified no-draw decisions,
+//!   `table` certified one-draw decisions, and `fallback` every
+//!   decision that needed the exact eq. 6 delta. They still partition
+//!   the priced moves, but the split can differ from the per-move
+//!   table lookup this replaced: a frozen or uncertified step now
+//!   counts as fallbacks.
+//! * **Temperature memo.** [`SaScratch`] memoizes
+//!   `cooling.temperature(k)` per schedule. It is the same expression
+//!   with the same bits, evaluated once per step index per scratch
+//!   instead of once per packet. The turbo loop reads the same memo.
+//!
+//! Debug builds shadow the loop. At every temperature-step boundary the
+//! running `(F_b, F_c, cost)` must equal `raw_full()`/`total()` bit for
+//! bit. Every certified decision must equal the exact rule on the exact
+//! delta for the same `u`, and a certified no-draw decision must have
+//! `p ∈ {0, 1}`. These checks consume no draw.
 
 use std::fmt;
 use std::str::FromStr;
@@ -56,6 +124,7 @@ use rand::{Rng, RngCore};
 
 use crate::annealer::{AnnealParams, InitRule, PacketOutcome};
 use crate::boltzmann::{accept, acceptance_probability, AcceptanceRule, TEMP_EPSILON};
+use crate::cooling::CoolingSchedule;
 use crate::cost::{BalanceRange, CostModel};
 use crate::packet::AnnealingPacket;
 use crate::trace::{PacketTrace, TraceSample};
@@ -135,6 +204,11 @@ impl FromStr for SaLane {
 
 /// How the fast lane resolved its acceptance decisions; flushed through
 /// `anneal-obs` so `--metrics` shows the table's hit profile.
+///
+/// In [`SaScratch::anneal_loaded`], `fallback` counts every decision
+/// that needed the exact eq. 6 delta, including frozen and uncertified
+/// steps (module docs, "Certified state-free pricing"). In
+/// [`AcceptTable::accept_lossless`] the fields mean what they say below.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneCounters {
     /// Decided with neither a table lookup nor an `exp()`: frozen
@@ -283,7 +357,67 @@ pub struct AcceptTable {
     /// `u == 0.0`.
     tail_from: f64,
     buckets: Vec<Bucket>,
+    // Certified state-free pricing (`SaScratch::anneal_loaded`), in
+    // bucket-index space `y = (x − x_lo)/w`.
+    /// `x_lo/w`: `y = x/w − off`.
+    off: f64,
+    /// Index of the first bucket not marked `exact`: from its left edge
+    /// on, `p < 1`, so the exact lane draws exactly once.
+    drawn_from: f64,
+    /// `reject_above` in index space.
+    y_reject: f64,
+    /// Upper bracket of the whole tail `x ≥ tail_from`.
+    tail_hi: f64,
+    /// Bound on `|dp/dx|` over the draw region: ¼ for the heat bath
+    /// (the sigmoid's slope at 0), 1 for Metropolis (`x > 0` there).
+    slope: f64,
 }
+
+/// Per-temperature-step constants of the certified state-free pricing
+/// in [`SaScratch::anneal_loaded`], in bucket-index space. A move's
+/// `ỹ = cb·ΔF_b + cc·ΔF_c − off` is within `E_k/w` of the exact lane's
+/// `(x − x_lo)/w`; each threshold is widened by that much.
+#[derive(Debug, Clone, Copy)]
+struct StepCert {
+    /// `k_b/(T·w)`.
+    cb: f64,
+    /// `k_c/(T·w)`.
+    cc: f64,
+    /// `ỹ < accept_below` proves an accept without a draw (`p == 1`).
+    accept_below: f64,
+    /// `ỹ > reject_above` proves a reject without a draw (`p == 0`,
+    /// heat bath only).
+    reject_above: f64,
+    /// `ỹ ∈ [draw_lo, draw_hi]` proves `0 < p < 1`: exactly one draw.
+    draw_lo: f64,
+    /// See `draw_lo`.
+    draw_hi: f64,
+    /// Bracket widening `s·E_k`, in probability.
+    slack: f64,
+}
+
+impl StepCert {
+    /// Certifies nothing: every move takes the exact path.
+    const NONE: StepCert = StepCert {
+        cb: 0.0,
+        cc: 0.0,
+        accept_below: f64::NEG_INFINITY,
+        reject_above: f64::INFINITY,
+        draw_lo: f64::INFINITY,
+        draw_hi: f64::NEG_INFINITY,
+        slack: 0.0,
+    };
+}
+
+/// `c` in `E_k = c·2⁻⁵³·M/T_k`: the derivation in the module docs gives
+/// `|x − x̃| ≤ 15·2⁻⁵³·M/T`; 32 leaves a factor of two.
+const CERT_ULPS: f64 = 32.0;
+/// Absolute floor of `E_k` in `x` units, covering the `O(2⁻⁵³·|x_lo|)`
+/// offset rounding and the bucket-edge rounding.
+const CERT_FLOOR: f64 = 1e-12;
+/// Steps whose `E_k` exceeds this run every move on the exact path (the
+/// widened band would swallow whole buckets).
+const CERT_MAX: f64 = 1e-3;
 
 /// Buckets per table; 4096 × ~18.5 milli-units of `x` keeps the
 /// fallback band (≈ `2·slack / bucket-probability-span`) negligible.
@@ -335,14 +469,65 @@ impl AcceptTable {
                 exact: pl >= near_one,
             });
         }
+        let inv_w = 1.0 / w;
+        let reject_above = 700.0;
+        // Exact-marked buckets form a prefix (p is monotone).
+        let drawn_from = buckets.iter().take_while(|b| b.exact).count();
+        debug_assert!(buckets[drawn_from..].iter().all(|b| !b.exact));
         AcceptTable {
             rule,
             x_lo,
-            inv_w: 1.0 / w,
+            inv_w,
             accept_below,
-            reject_above: 700.0,
+            reject_above,
             tail_from: x_hi,
+            off: x_lo * inv_w,
+            drawn_from: drawn_from as f64,
+            y_reject: (reject_above - x_lo) * inv_w,
+            tail_hi: acceptance_probability(rule, x_hi, 1.0) + TABLE_SLACK,
+            slope: match rule {
+                AcceptanceRule::HeatBath => 0.25,
+                AcceptanceRule::Metropolis => 1.0,
+            },
             buckets,
+        }
+    }
+
+    /// The certificate for one temperature step of a packet whose eq. 6
+    /// weights fold to `k_b = w_b/ΔF_b`, `k_c = w_c/ΔF_c` and whose
+    /// exact-integer bound is `bound = M` (`∞` when the packet fails the
+    /// 2⁵³ check). Certifies nothing at a frozen or non-finite
+    /// temperature, or when `E_k > CERT_MAX`.
+    fn step_cert(&self, kb: f64, kc: f64, bound: f64, temp: f64) -> StepCert {
+        let e = CERT_ULPS * (f64::EPSILON / 2.0) * bound / temp + CERT_FLOOR;
+        // `!(… <= …)` also rejects a NaN bound or temperature.
+        if !(temp > TEMP_EPSILON && e <= CERT_MAX) {
+            return StepCert::NONE;
+        }
+        let ey = e * self.inv_w;
+        let scale = self.inv_w / temp;
+        StepCert {
+            cb: kb * scale,
+            cc: kc * scale,
+            accept_below: -ey,
+            reject_above: match self.rule {
+                AcceptanceRule::HeatBath => self.y_reject + ey,
+                // Beyond 700 the Metropolis draw count is at stake.
+                AcceptanceRule::Metropolis => f64::INFINITY,
+            },
+            draw_lo: self.drawn_from + ey,
+            draw_hi: self.y_reject - ey,
+            slack: self.slope * e,
+        }
+    }
+
+    /// The `[lo, hi]` probability bracket of index-space position `y ≥
+    /// 0`: its bucket's, or the tail's past the last bucket.
+    #[inline]
+    fn bracket(&self, y: f64) -> (f64, f64) {
+        match self.buckets.get(y as usize) {
+            Some(b) => (b.lo, b.hi),
+            None => (0.0, self.tail_hi),
         }
     }
 
@@ -527,6 +712,29 @@ pub fn accept_table(rule: AcceptanceRule) -> &'static AcceptTable {
 /// Sentinel for "unassigned" in the flat mapping arrays.
 const NONE: u32 = u32::MAX;
 
+/// Temperature-memo capacity reserved up front (once per scratch).
+const TEMP_MEMO_CAP: u64 = 4096;
+
+/// Debug shadow of one certified decision: the exact lane's rule on the
+/// exact eq. 6 `delta` must agree, for the same draw `u` (`None` = the
+/// decision consumed no draw). A pure check: it draws nothing.
+fn shadow_check(rule: AcceptanceRule, delta: f64, temp: f64, u: Option<f64>, acc: bool) {
+    let p = acceptance_probability(rule, delta, temp);
+    match u {
+        Some(u) => {
+            assert!(
+                p > 0.0 && p < 1.0,
+                "certified a draw the exact lane skips (p = {p})"
+            );
+            assert_eq!(acc, u < p, "table decision disagrees with the exact rule");
+        }
+        None => assert!(
+            if acc { p >= 1.0 } else { p <= 0.0 },
+            "certified a no-draw decision the exact lane draws for (p = {p})"
+        ),
+    }
+}
+
 /// What one fast-lane packet run produced (the flat-lane analogue of
 /// [`PacketOutcome`]; the final mapping stays in the scratch).
 #[derive(Debug, Clone)]
@@ -565,6 +773,11 @@ pub struct SaScratch {
     wc: f64,
     range_b: f64,
     range_c: f64,
+    /// The loaded packet passed the 2⁵³ check: every running sum and
+    /// move delta is an exact integer.
+    exact_sums: bool,
+    /// `M = k_b·Σlv + k_c·Σ_t max_j cc` under `exact_sums`, else `∞`.
+    cost_bound: f64,
     n: usize,
     p: usize,
     epoch_time: u64,
@@ -577,6 +790,9 @@ pub struct SaScratch {
     best_proc_of: Vec<u32>,
     perm_tasks: Vec<usize>,
     perm_procs: Vec<usize>,
+    /// `temps[k] = cooling.temperature(k)` for `temps_of`.
+    temps: Vec<f64>,
+    temps_of: Option<CoolingSchedule>,
 }
 
 impl SaScratch {
@@ -611,6 +827,13 @@ impl SaScratch {
         self.sort_buf.clear();
         self.sort_buf.extend_from_slice(&packet.levels);
         self.compute_ranges(bal);
+        let lv_sum = packet.levels.iter().map(|&l| u128::from(l)).sum();
+        let cc_sum = packet
+            .comm_cost
+            .iter()
+            .map(|row| u128::from(row.iter().copied().max().unwrap_or(0)))
+            .sum();
+        self.certify(lv_sum, cc_sum);
         self.prepare_run();
     }
 
@@ -640,11 +863,14 @@ impl SaScratch {
         self.procs.extend_from_slice(ctx.idle);
         self.lv.clear();
         self.sort_buf.clear();
+        let mut lv_sum = 0u128;
         for &t in ctx.ready {
             let l = levels[t.index()];
             self.sort_buf.push(l);
             self.lv.push(l as f64);
+            lv_sum += u128::from(l);
         }
+        let mut cc_sum = 0u128;
         self.cc.clear();
         self.cc.resize(n * p, 0.0);
         self.worst.clear();
@@ -669,9 +895,11 @@ impl SaScratch {
                     wmax = wmax.max(c);
                 }
                 self.worst[i] = wmax;
+                cc_sum += u128::from(wmax);
             }
         }
         self.compute_ranges(bal);
+        self.certify(lv_sum, cc_sum);
         self.prepare_run();
     }
 
@@ -698,6 +926,21 @@ impl SaScratch {
             range_c = 1.0;
         }
         self.range_c = range_c;
+    }
+
+    /// The 2⁵³ check behind certified pricing (`lv_sum = Σ levels`,
+    /// `cc_sum = Σ_t max_j comm`): when both sums are below 2⁵³, every
+    /// `F_b`, `F_c`, `ΔF_b`, `ΔF_c` and intermediate sum of the verbatim
+    /// pricing expressions is an exact integer, so the running sums
+    /// never drift. Stores `M` for the per-step error bound.
+    fn certify(&mut self, lv_sum: u128, cc_sum: u128) {
+        const EXACT: u128 = 1 << 53;
+        self.exact_sums = lv_sum < EXACT && cc_sum < EXACT;
+        self.cost_bound = if self.exact_sums {
+            self.wb / self.range_b * lv_sum as f64 + self.wc / self.range_c * cc_sum as f64
+        } else {
+            f64::INFINITY
+        };
     }
 
     fn prepare_run(&mut self) {
@@ -794,6 +1037,14 @@ impl SaScratch {
     /// converged mapping is left in the scratch
     /// ([`SaScratch::assignments`]).
     ///
+    /// Moves are decided by certified state-free pricing (module docs,
+    /// "Certified state-free pricing"): the accept/reject decision
+    /// reads only the move's own `(ΔF_b, ΔF_c)`, never the running
+    /// cost, and every case the bound cannot prove runs the exact
+    /// lane's expression. The exact eq. 6 total runs on accepted moves
+    /// and fallbacks only. Debug builds shadow every certified decision and every
+    /// temperature-step boundary with the exact computation.
+    ///
     /// [`anneal_packet`]: crate::annealer::anneal_packet
     pub fn anneal_loaded<R: Rng + ?Sized>(
         &mut self,
@@ -805,7 +1056,10 @@ impl SaScratch {
         let n = self.n;
         let p = self.p;
         assert!(n > 0 && p > 0, "empty packet");
-        let table = accept_table(params.acceptance);
+        let rule = params.acceptance;
+        let table = accept_table(rule);
+        let (kb, kc) = (self.wb / self.range_b, self.wc / self.range_c);
+        self.use_schedule(params);
 
         match params.init {
             InitRule::Random => self.saturate_random(rng),
@@ -834,8 +1088,17 @@ impl SaScratch {
         let mut stable = 0u64;
         let mut k = 0u64;
         let mut moves = 0u64;
+        let (mut n_shortcut, mut n_table, mut n_fallback) = (0u64, 0u64, 0u64);
+        // The exact path classifies its own decisions; they all count
+        // as fallbacks here.
+        let mut exact_path = LaneCounters::default();
         while k < params.max_iters && stable < params.stable_iters {
-            let temp = params.cooling.temperature(k);
+            debug_assert!(
+                self.sums_match(fb, fc, cost),
+                "running cost drifted by step {k}"
+            );
+            let temp = self.temperature(&params.cooling, k);
+            let cert = table.step_cert(kb, kc, self.cost_bound, temp);
             let mut cost_changed = false;
             for _ in 0..moves_per_temp {
                 let task = self.draw_task.sample(rng);
@@ -878,13 +1141,49 @@ impl SaScratch {
                             (fb_after - fb_before, fc_after - fc_before)
                         }
                     };
-                    // One eq. 6 evaluation per move: the exact lane's
-                    // post-move `cost = total(fb, fc)` recomputation is
-                    // bit-identical to `cand` on accept and a no-op on
-                    // reject, so caching it here loses nothing.
-                    let cand = self.total(fb + dfb, fc + dfc);
-                    let delta = cand - cost;
-                    if table.accept_lossless(delta, temp, rng, counters) {
+                    // The state-free position in bucket-index space.
+                    let y = cert.cb * dfb + cert.cc * dfc - table.off;
+                    let accept_move = if y >= cert.draw_lo && y <= cert.draw_hi {
+                        // Exactly one draw is certain: decide on the
+                        // bracket widened by s·E_k.
+                        let (lo, hi) = table.bracket(y);
+                        let u = unit_f64(rng);
+                        if u < lo - cert.slack || u >= hi + cert.slack {
+                            n_table += 1;
+                            let acc = u < lo - cert.slack;
+                            if cfg!(debug_assertions) {
+                                let delta = self.total(fb + dfb, fc + dfc) - cost;
+                                shadow_check(rule, delta, temp, Some(u), acc);
+                            }
+                            acc
+                        } else {
+                            // u inside the widened band: settle it
+                            // exactly with the draw already consumed.
+                            n_fallback += 1;
+                            let delta = self.total(fb + dfb, fc + dfc) - cost;
+                            u < acceptance_probability(rule, delta, temp)
+                        }
+                    } else if y < cert.accept_below || y > cert.reject_above {
+                        // p is provably 1 or 0: no draw, as in the
+                        // exact lane.
+                        n_shortcut += 1;
+                        let acc = y < cert.accept_below;
+                        if cfg!(debug_assertions) {
+                            let delta = self.total(fb + dfb, fc + dfc) - cost;
+                            shadow_check(rule, delta, temp, None, acc);
+                        }
+                        acc
+                    } else {
+                        // Uncertified (near a region edge, or the whole
+                        // step or packet): the exact path, before any
+                        // draw.
+                        n_fallback += 1;
+                        let delta = self.total(fb + dfb, fc + dfc) - cost;
+                        table.accept_lossless(delta, temp, rng, &mut exact_path)
+                    };
+                    if accept_move {
+                        let cand = self.total(fb + dfb, fc + dfc);
+                        let delta = cand - cost;
                         if occ == NONE {
                             if cur != NONE {
                                 self.task_at[cur as usize] = NONE;
@@ -932,6 +1231,13 @@ impl SaScratch {
             }
             k += 1;
         }
+        debug_assert!(
+            self.sums_match(fb, fc, cost),
+            "running cost drifted by step {k}"
+        );
+        counters.shortcut += n_shortcut;
+        counters.table += n_table;
+        counters.fallback += n_fallback;
 
         let final_cost = if params.keep_best && best_cost < cost {
             self.proc_of.copy_from_slice(&self.best_proc_of);
@@ -946,6 +1252,40 @@ impl SaScratch {
             final_cost,
             trace,
         }
+    }
+
+    /// Points the temperature memo at `params.cooling`, clearing it when
+    /// the schedule changed since the last run.
+    fn use_schedule(&mut self, params: &AnnealParams) {
+        if self.temps_of != Some(params.cooling) {
+            self.temps.clear();
+            self.temps
+                .reserve(params.max_iters.min(TEMP_MEMO_CAP) as usize);
+            self.temps_of = Some(params.cooling);
+        }
+    }
+
+    /// `cooling.temperature(k)` through the memo: the same expression,
+    /// the same bits (`use_schedule` must have seen `cooling`).
+    fn temperature(&mut self, cooling: &CoolingSchedule, k: u64) -> f64 {
+        if let Some(&t) = self.temps.get(k as usize) {
+            return t;
+        }
+        // Steps run k = 0, 1, 2, …, so a miss is always the next index.
+        debug_assert_eq!(self.temps.len() as u64, k);
+        let t = cooling.temperature(k);
+        self.temps.push(t);
+        t
+    }
+
+    /// Debug shadow at a temperature-step boundary: the running cost is
+    /// eq. 6 of the running sums, and under the exact-integer invariant
+    /// those sums equal a from-scratch [`SaScratch::raw_full`] bit for
+    /// bit.
+    fn sums_match(&self, fb: f64, fc: f64, cost: f64) -> bool {
+        let (rb, rc) = self.raw_full();
+        cost.to_bits() == self.total(fb, fc).to_bits()
+            && (!self.exact_sums || (rb.to_bits() == fb.to_bits() && rc.to_bits() == fc.to_bits()))
     }
 
     /// Runs the **turbo** lane's annealing loop on the loaded packet —
@@ -1002,6 +1342,7 @@ impl SaScratch {
         let p = self.p;
         assert!(n > 0 && p > 0, "empty packet");
         let table = accept_table(params.acceptance);
+        self.use_schedule(params);
 
         match params.init {
             InitRule::Random => self.saturate_random(rng),
@@ -1049,7 +1390,7 @@ impl SaScratch {
         let mut n_shortcut = 0u64;
         let mut n_table = 0u64;
         while k < params.max_iters && stable < params.stable_iters {
-            let temp = params.cooling.temperature(k);
+            let temp = self.temperature(&params.cooling, k);
             let frozen = temp <= TEMP_EPSILON;
             let inv_temp = if frozen { 0.0 } else { 1.0 / temp };
             let mut cost_changed = false;
@@ -1623,6 +1964,93 @@ mod tests {
                 assert_eq!(r1.gen_range(0..bound), plan.sample(&mut r2));
             }
             assert_eq!(r1.next_u64(), r2.next_u64());
+        }
+    }
+
+    /// Sweeps moves densely across every region edge of the
+    /// certificate, in a benign regime and in cancellation-heavy ones
+    /// (`|F_b| ≈ 2⁴⁹` with a rounding `w_b/ΔF_b`, `E_k` up to near its
+    /// cap), and checks each
+    /// certified verdict against the exact lane's probability: a
+    /// certified draw has `0 < p < 1` inside the widened bracket, a
+    /// certified accept has `p == 1`, a certified reject `p == 0`.
+    #[test]
+    fn step_cert_is_sound_across_every_region_edge() {
+        // (ΔF_b, Σ levels, T): F_b sits at −Σ/2, so |F_b ± ΔF_b| ≤ Σ.
+        let regimes = [
+            (1000.0, 2.0e6, 0.5),
+            (3.0, 2f64.powi(50), 1333.0),
+            (3.0, 2f64.powi(50), 700.0),
+            // Σ levels near 2⁵³: rounding spans several move quanta.
+            (3.0, 7.5e15, 6000.0),
+        ];
+        for rule in rules() {
+            let t = accept_table(rule);
+            let w = 1.0 / t.inv_w;
+            let edges = [
+                t.x_lo,
+                // Where the heat bath's p starts rounding to 1.0.
+                -36.74,
+                t.x_lo + t.drawn_from * w,
+                0.0,
+                t.tail_from,
+                t.reject_above,
+            ];
+            for &(range_b, lv_sum, temp) in &regimes {
+                let kb = 0.5 / range_b;
+                let cert = t.step_cert(kb, 0.0, kb * lv_sum, temp);
+                assert!(cert.draw_lo.is_finite(), "{rule:?}: regime must certify");
+                let fb = -lv_sum / 2.0;
+                let cost = 0.5 * fb / range_b;
+                let (mut drawn, mut sure) = (0, 0);
+                for &edge in &edges {
+                    let centre = (edge * temp / kb).round();
+                    for j in -3000..=3000 {
+                        let dfb = centre + f64::from(j);
+                        let delta = 0.5 * (fb + dfb) / range_b - cost;
+                        let p = acceptance_probability(rule, delta, temp);
+                        let dfc = 0.0;
+                        let y = cert.cb * dfb + cert.cc * dfc - t.off;
+                        let ctx = format!("{rule:?} T={temp} x={}", delta / temp);
+                        if y >= cert.draw_lo && y <= cert.draw_hi {
+                            drawn += 1;
+                            let (lo, hi) = t.bracket(y);
+                            assert!(p > 0.0 && p < 1.0, "{ctx}: draw certified, p = {p}");
+                            assert!(lo - cert.slack <= p && p < hi + cert.slack, "{ctx}");
+                        } else if y < cert.accept_below {
+                            sure += 1;
+                            assert!(p >= 1.0, "{ctx}: accept certified, p = {p}");
+                        } else if y > cert.reject_above {
+                            sure += 1;
+                            assert!(p <= 0.0, "{ctx}: reject certified, p = {p}");
+                        }
+                    }
+                }
+                assert!(drawn > 0 && sure > 0, "{rule:?}: sweep missed a region");
+            }
+        }
+    }
+
+    #[test]
+    fn step_cert_refuses_frozen_uncertain_and_non_finite_steps() {
+        let t = accept_table(AcceptanceRule::HeatBath);
+        for (bound, temp) in [
+            (1.0, 0.0),
+            (1.0, TEMP_EPSILON),
+            (1.0, f64::NAN),
+            (f64::INFINITY, 1.0),
+            (f64::NAN, 1.0),
+            // E_k = 32·2⁻⁵³·M/T just above the 1e-3 cap.
+            (1e-3 / (CERT_ULPS * f64::EPSILON / 2.0) * 1.01, 1.0),
+        ] {
+            let cert = t.step_cert(0.5, 0.5, bound, temp);
+            assert_eq!(cert.draw_lo, f64::INFINITY, "bound={bound} T={temp}");
+            assert_eq!(
+                cert.accept_below,
+                f64::NEG_INFINITY,
+                "bound={bound} T={temp}"
+            );
+            assert_eq!(cert.reject_above, f64::INFINITY, "bound={bound} T={temp}");
         }
     }
 

@@ -161,7 +161,10 @@ pub fn static_sa(
     }
     let norm = g.total_work() as f64;
     let mut cur_cost = evaluator.reset(&mapping)? as f64 / norm;
-    let mut best = (cur_cost, mapping.clone());
+    // Keep-best in one reused buffer: `clone_from` per improvement
+    // copies in place instead of allocating.
+    let mut best_cost = cur_cost;
+    let mut best_mapping = mapping.clone();
 
     let moves_per_temp = if cfg.moves_per_temp == 0 {
         (n / 4).max(8)
@@ -232,8 +235,9 @@ pub fn static_sa(
                     changed = true;
                 }
                 cur_cost = cand_cost;
-                if cur_cost < best.0 {
-                    best = (cur_cost, mapping.clone());
+                if cur_cost < best_cost {
+                    best_cost = cur_cost;
+                    best_mapping.clone_from(&mapping);
                 }
             }
         }
@@ -246,10 +250,10 @@ pub fn static_sa(
     }
 
     let evaluations = evaluator.evaluations();
-    let result = replay_mapping(g, topo, params, sim_cfg, best.1.clone(), Some(order))?;
+    let result = replay_mapping(g, topo, params, sim_cfg, best_mapping.clone(), Some(order))?;
     Ok(StaticSaOutcome {
         result,
-        mapping: best.1,
+        mapping: best_mapping,
         evaluations,
         iterations: k,
         proposed,

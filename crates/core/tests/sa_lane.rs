@@ -7,6 +7,7 @@
 
 use anneal_core::annealer::{anneal_packet, AnnealParams, InitRule};
 use anneal_core::boltzmann::AcceptanceRule;
+use anneal_core::cooling::CoolingSchedule;
 use anneal_core::cost::{BalanceRange, CostModel};
 use anneal_core::lane::{anneal_packet_lane, LaneRun};
 use anneal_core::packet::AnnealingPacket;
@@ -85,6 +86,7 @@ fn assert_outcomes_bitwise(
 
 /// Runs one packet through the exact lane and the delta-table lane and
 /// checks the full lossless contract including the RNG end state.
+/// Returns how the delta-table lane resolved its decisions.
 fn check_packet_parity(
     pk: &AnnealingPacket,
     params: &AnnealParams,
@@ -93,7 +95,7 @@ fn check_packet_parity(
     bal: BalanceRange,
     seed: u64,
     scratch: &mut SaScratch,
-) {
+) -> LaneCounters {
     let ctx = format!(
         "seed={seed} n={} p={} rule={:?} init={:?}",
         pk.num_tasks(),
@@ -122,7 +124,86 @@ fn check_packet_parity(
     // the identical internal state afterwards.
     assert_eq!(r1, r2, "{ctx}: RNG state diverged");
     assert_eq!(counters.decisions(), counters.decisions());
-    assert!(counters.decisions() > 0 || fast.moves == 0, "{ctx}");
+    // A 1 × 1 packet proposes moves but never prices one.
+    let priced = fast.moves > 0 && (pk.num_tasks() > 1 || pk.num_procs() > 1);
+    assert!(counters.decisions() > 0 || !priced, "{ctx}");
+    counters
+}
+
+/// The hostile packet shapes of
+/// `delta_table_lane_is_bit_identical_on_hostile_packets`.
+#[derive(Debug, Clone, Copy)]
+enum Hostile {
+    /// All levels equal: `ΔF_b` falls back to 1.0, so `M/T` is large
+    /// and late steps exceed the certificate's error cap.
+    EqualLevels,
+    /// Levels and comm near 2⁵⁰: exact, but with little headroom.
+    Near2Pow50,
+    /// Levels summing past 2⁵³: the packet fails the exact-integer
+    /// check and every move runs the exact path.
+    Over2Pow53,
+    /// A linear schedule reaching `T = 0`: frozen steps are never
+    /// certified.
+    Frozen,
+}
+
+impl Hostile {
+    const ALL: [Hostile; 4] = [
+        Hostile::EqualLevels,
+        Hostile::Near2Pow50,
+        Hostile::Over2Pow53,
+        Hostile::Frozen,
+    ];
+
+    fn packet(self, n: usize, procs: usize, rng: &mut StdRng) -> AnnealingPacket {
+        let mut draw = |lo: u64, hi: u64| rand::Rng::gen_range(rng, lo..hi);
+        let (levels, comm): (Vec<u64>, Vec<Vec<u64>>) = match self {
+            Hostile::EqualLevels => (
+                vec![3_000_000; n],
+                (0..n)
+                    .map(|_| (0..procs).map(|_| draw(0, 50_000)).collect())
+                    .collect(),
+            ),
+            Hostile::Near2Pow50 => (
+                (0..n).map(|_| (1 << 50) - draw(0, 1 << 20)).collect(),
+                (0..n)
+                    .map(|_| (0..procs).map(|_| (1 << 50) - draw(0, 1 << 30)).collect())
+                    .collect(),
+            ),
+            Hostile::Over2Pow53 => (
+                (0..n.max(3))
+                    .map(|_| (1 << 52) - draw(0, 1 << 24))
+                    .collect(),
+                (0..n.max(3))
+                    .map(|_| (0..procs).map(|_| draw(0, 1 << 40)).collect())
+                    .collect(),
+            ),
+            Hostile::Frozen => (
+                (0..n).map(|_| draw(1, 200_000)).collect(),
+                (0..n)
+                    .map(|_| (0..procs).map(|_| draw(0, 50_000)).collect())
+                    .collect(),
+            ),
+        };
+        packet_from(levels, comm, procs)
+    }
+
+    /// Long runs (no early stop) so the late, cold steps are reached.
+    fn params(self, acceptance: AcceptanceRule, init: InitRule, keep_best: bool) -> AnnealParams {
+        let cooling = match self {
+            Hostile::Frozen => CoolingSchedule::Linear {
+                t0: 1.0,
+                step: 0.01,
+            },
+            _ => CoolingSchedule::default_geometric(),
+        };
+        AnnealParams {
+            cooling,
+            max_iters: 300,
+            stable_iters: u64::MAX,
+            ..params_with(acceptance, init, keep_best)
+        }
+    }
 }
 
 proptest! {
@@ -166,6 +247,64 @@ proptest! {
             seed ^ 0x9e37,
             &mut scratch,
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Packets built to defeat the certified state-free pricing: every
+    /// shape must still replay the exact lane bit for bit, and every
+    /// one of them must actually reach the exact-path fallback.
+    #[test]
+    fn delta_table_lane_is_bit_identical_on_hostile_packets(
+        case_ix in 0usize..4,
+        n in 1usize..8,
+        procs in 1usize..6,
+        table_seed in 0u64..1_000,
+        seed in 0u64..500,
+        rule_ix in 0usize..2,
+        init_ix in 0usize..2,
+        keep_best in any::<bool>(),
+    ) {
+        let case = Hostile::ALL[case_ix];
+        let pk = case.packet(n, procs, &mut StdRng::seed_from_u64(table_seed));
+        let rule = [AcceptanceRule::HeatBath, AcceptanceRule::Metropolis][rule_ix];
+        let init = [InitRule::Random, InitRule::InOrder][init_ix];
+        let params = case.params(rule, init, keep_best);
+        let mut scratch = SaScratch::new();
+        let counters =
+            check_packet_parity(&pk, &params, 0.5, 0.5, BalanceRange::Full, seed, &mut scratch);
+        // A 1 × 1 packet proposes no move at all.
+        if pk.num_tasks() > 1 || procs > 1 {
+            prop_assert!(counters.fallback > 0, "{case:?}: fallback never taken ({counters:?})");
+        }
+    }
+}
+
+/// The degenerate packet shapes, pinned deterministically on top of
+/// the proptest: one task, one processor, and both.
+#[test]
+fn delta_table_lane_is_bit_identical_on_single_task_and_single_proc_packets() {
+    let mut scratch = SaScratch::new();
+    for (n, procs) in [(1, 1), (1, 4), (5, 1)] {
+        for case in Hostile::ALL {
+            for rule in [AcceptanceRule::HeatBath, AcceptanceRule::Metropolis] {
+                let pk = case.packet(n, procs, &mut StdRng::seed_from_u64(n as u64 * 7 + 1));
+                let params = case.params(rule, InitRule::Random, true);
+                for seed in 0..4 {
+                    check_packet_parity(
+                        &pk,
+                        &params,
+                        0.5,
+                        0.5,
+                        BalanceRange::Full,
+                        seed,
+                        &mut scratch,
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -245,8 +384,8 @@ fn scheduler_lanes_agree_on_random_graphs_and_topologies() {
 }
 
 /// 400+-move drift test: the lane's running `(F_b, F_c)` sums, after
-/// hundreds of accepted deltas, still price the final mapping exactly
-/// like a from-scratch `CostModel` recomputation.
+/// hundreds of accepted deltas, still price the final mapping bit for
+/// bit like a from-scratch `CostModel` recomputation.
 #[test]
 fn running_cost_does_not_drift_over_400_moves() {
     let n = 9;
@@ -297,8 +436,11 @@ fn running_cost_does_not_drift_over_400_moves() {
         fc += pk.comm_cost[t][q] as f64;
     }
     let recomputed = cm.total(fb, fc);
-    assert!(
-        (out.final_cost - recomputed).abs() < 1e-9,
+    // Bitwise: every table entry is an integer far below 2⁵³, so the
+    // running sums are exact and any drift at all is a bug.
+    assert_eq!(
+        out.final_cost.to_bits(),
+        recomputed.to_bits(),
         "drift after {} accepted moves: running {} vs recomputed {}",
         out.accepted,
         out.final_cost,
