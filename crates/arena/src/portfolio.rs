@@ -208,8 +208,7 @@ impl Portfolio {
 
     /// [`Portfolio::fast`] with an explicit [`SaLane`] for the staged-SA
     /// entry. `Exact` and `DeltaTable` produce bit-identical cells (the
-    /// CI arena smoke byte-compares the CSVs); `Turbo` is the opt-in
-    /// lossy configuration.
+    /// CI arena smoke byte-compares the CSVs).
     pub fn fast_with_lane(lane: SaLane) -> Self {
         let mut p = Portfolio::new();
         p.register(PortfolioEntry::new("greedy", |_, _| {
@@ -395,7 +394,7 @@ mod tests {
     #[test]
     fn annealing_cells_are_lane_invariant_on_lossless_lanes() {
         // The `--sa-lane {exact,delta-table}` toggle must never change
-        // a result, only its cost. (`turbo` is exempt: lossy.)
+        // a result, only its cost.
         let insts = smoke_instances(4);
         let exact = Portfolio::standard_with_lanes(EvaluatorKind::default(), SaLane::Exact);
         let fast = Portfolio::standard_with_lanes(EvaluatorKind::default(), SaLane::DeltaTable);
@@ -409,15 +408,6 @@ mod tests {
                     assert_eq!(a.finish, b.finish, "{name} {} seed {seed}", inst.name);
                 }
             }
-        }
-        // The lossy lane still yields valid, auditable, per-seed
-        // deterministic schedules.
-        let lossy = Portfolio::standard_with_lanes(EvaluatorKind::default(), SaLane::Turbo);
-        for name in ["sa", "static-sa"] {
-            let r = lossy.get(name).unwrap().evaluate(&insts[0], 42).unwrap();
-            r.audit(&insts[0].graph).unwrap();
-            let again = lossy.get(name).unwrap().evaluate(&insts[0], 42).unwrap();
-            assert_eq!(r.makespan, again.makespan, "turbo {name} not deterministic");
         }
     }
 

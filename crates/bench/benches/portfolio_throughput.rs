@@ -17,20 +17,15 @@
 //!   **delta-table SA lane**: the shared fast-path kernel out of one
 //!   reused `SimScratch` per sweep, with the staged-SA inner loop
 //!   priced from flat cost tables and the quantized-lossless
-//!   acceptance table (`anneal_core::lane`);
-//! * `turbo` — the fast path on the opt-in **turbo SA lane**:
-//!   counter-based RNG streams and no-fallback midpoint acceptance —
-//!   lossy, certified statistically by `lane_study` instead of
-//!   bit-for-bit.
+//!   acceptance table (`anneal_core::lane`).
 //!
-//! Every cell is asserted **bit-identical** between the two lossless
-//! paths before anything is timed; in smoke mode this doubles as the
-//! CI equality gate. Two rows carry regression asserts: the
-//! delta-table `sa` row must keep beating the pre-lane committed
-//! baseline, and the turbo `sa` row must beat the delta-table row on
-//! every tier (the turbo lane's whole reason to exist). Besides the
-//! Criterion report, the bench writes `results/BENCH_portfolio.json`:
-//! per-tier cells/sec for all three paths, the throughput speedups,
+//! Every cell is asserted **bit-identical** between the two paths
+//! before anything is timed; in smoke mode this doubles as the CI
+//! equality gate. The `sa` row carries a regression assert: the
+//! delta-table lane must keep beating the pre-lane committed baseline
+//! on every tier. Besides the Criterion report, the bench writes
+//! `results/BENCH_portfolio.json`: per-tier cells/sec for both paths,
+//! the throughput speedups,
 //! and a per-scheduler breakdown (the staged SA scheduler's cells are
 //! dominated by its own annealing logic, so its speedup bounds the
 //! portfolio-wide number — the JSON shows both the aggregate and the
@@ -135,18 +130,15 @@ fn bench_portfolio(c: &mut Criterion) {
     let smoke = std::env::var("PORTFOLIO_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
     let reps = if smoke { 2 } else { 7 };
     // "Before" portfolio: exact SA lane, general evaluation. "After"
-    // portfolios: delta-table (lossless, the default) and turbo
-    // (lossy, opt-in) SA lanes on the fast path. Only the
-    // `sa` entry differs across the three — every other factory is
+    // portfolio: the default delta-table SA lane on the fast path. Only
+    // the `sa` entry differs across the two — every other factory is
     // lane-independent.
     let portfolio = Portfolio::fast_with_lane(SaLane::Exact);
     let portfolio_fast = Portfolio::fast_with_lane(SaLane::DeltaTable);
-    let portfolio_turbo = Portfolio::fast_with_lane(SaLane::Turbo);
 
     let mut group = c.benchmark_group("portfolio_throughput");
     let mut tier_rows = Vec::new();
     let mut sa_speedups = Vec::new();
-    let mut sa_turbo_speedups = Vec::new();
     for (tier, scale) in [("small", 1usize), ("medium", 2), ("large", 3)] {
         let insts = tier_instances(scale, 100 + scale as u64);
         let cells = portfolio.len() * insts.len();
@@ -179,16 +171,14 @@ fn bench_portfolio(c: &mut Criterion) {
         // Per-scheduler breakdown at this tier (best of `reps` sweeps
         // of that scheduler's row).
         let mut entry_rows = Vec::new();
-        for (e, ((entry, fast_entry), turbo_entry)) in portfolio
+        for (e, (entry, fast_entry)) in portfolio
             .entries()
             .iter()
             .zip(portfolio_fast.entries())
-            .zip(portfolio_turbo.entries())
             .enumerate()
         {
             let mut best_general = f64::MAX;
             let mut best_fast = f64::MAX;
-            let mut best_turbo = f64::MAX;
             for _ in 0..reps {
                 let start = Instant::now();
                 for (j, inst) in insts.iter().enumerate() {
@@ -204,30 +194,17 @@ fn bench_portfolio(c: &mut Criterion) {
                     );
                 }
                 best_fast = best_fast.min(start.elapsed().as_nanos() as f64);
-                let start = Instant::now();
-                for (j, inst) in insts.iter().enumerate() {
-                    std::hint::black_box(
-                        turbo_entry
-                            .evaluate_makespan(inst, seed_of(e, j), &mut scratch)
-                            .unwrap(),
-                    );
-                }
-                best_turbo = best_turbo.min(start.elapsed().as_nanos() as f64);
             }
             if entry.name() == "sa" {
                 sa_speedups.push(best_general / best_fast);
-                sa_turbo_speedups.push((best_general / best_turbo, best_fast / best_turbo));
             }
             entry_rows.push(format!(
                 "        {{\"scheduler\": \"{}\", \"general_ns_per_cell\": {:.0}, \
-                 \"fast_ns_per_cell\": {:.0}, \"turbo_ns_per_cell\": {:.0}, \
-                 \"speedup\": {:.2}, \"turbo_speedup\": {:.2}}}",
+                 \"fast_ns_per_cell\": {:.0}, \"speedup\": {:.2}}}",
                 entry.name(),
                 best_general / insts.len() as f64,
                 best_fast / insts.len() as f64,
-                best_turbo / insts.len() as f64,
-                best_general / best_fast,
-                best_general / best_turbo
+                best_general / best_fast
             ));
         }
 
@@ -242,36 +219,30 @@ fn bench_portfolio(c: &mut Criterion) {
         let h_cells = heuristics.len() * insts.len();
         let mut best_general = f64::MAX;
         let mut best_fast = f64::MAX;
-        let mut best_turbo = f64::MAX;
         let mut h_best_general = f64::MAX;
         let mut h_best_fast = f64::MAX;
         let heuristics_fast = portfolio_fast.without("sa");
         for _ in 0..reps {
             best_general = best_general.min(sweep_general(&portfolio, &insts));
             best_fast = best_fast.min(sweep_fast(&portfolio_fast, &insts, &mut scratch));
-            best_turbo = best_turbo.min(sweep_fast(&portfolio_turbo, &insts, &mut scratch));
             h_best_general = h_best_general.min(sweep_general(&heuristics, &insts));
             h_best_fast = h_best_fast.min(sweep_fast(&heuristics_fast, &insts, &mut scratch));
         }
         let general_cps = cells as f64 / (best_general * 1e-9);
         let fast_cps = cells as f64 / (best_fast * 1e-9);
-        let turbo_cps = cells as f64 / (best_turbo * 1e-9);
         let speedup = best_general / best_fast;
-        let turbo_speedup = best_general / best_turbo;
         let h_speedup = h_best_general / h_best_fast;
         println!(
             "portfolio_throughput/{tier}: general {general_cps:.0} cells/s, \
-             fast {fast_cps:.0} cells/s, turbo {turbo_cps:.0} cells/s, \
-             speedup {speedup:.2}x / turbo {turbo_speedup:.2}x over {cells} cells \
+             fast {fast_cps:.0} cells/s, \
+             speedup {speedup:.2}x over {cells} cells \
              ({h_speedup:.2}x over the {h_cells} heuristic cells)"
         );
         tier_rows.push(format!(
             "    {{\"tier\": \"{tier}\", \"cells\": {cells}, \
              \"general_cells_per_sec\": {general_cps:.0}, \
              \"fast_cells_per_sec\": {fast_cps:.0}, \
-             \"turbo_cells_per_sec\": {turbo_cps:.0}, \
              \"throughput_speedup\": {speedup:.2}, \
-             \"turbo_throughput_speedup\": {turbo_speedup:.2}, \
              \"heuristic_cells\": {h_cells}, \
              \"heuristic_general_cells_per_sec\": {:.0}, \
              \"heuristic_fast_cells_per_sec\": {:.0}, \
@@ -282,12 +253,11 @@ fn bench_portfolio(c: &mut Criterion) {
             entry_rows.join(",\n")
         ));
 
-        for name in ["general", "fast", "turbo"] {
+        for name in ["general", "fast"] {
             group.bench_function(BenchmarkId::new(name, tier), |b| {
                 let mut scratch = SimScratch::new();
                 b.iter(|| match name {
                     "fast" => sweep_fast(&portfolio_fast, &insts, &mut scratch),
-                    "turbo" => sweep_fast(&portfolio_turbo, &insts, &mut scratch),
                     _ => sweep_general(&portfolio, &insts),
                 })
             });
@@ -304,19 +274,6 @@ fn bench_portfolio(c: &mut Criterion) {
         assert!(
             *s > 1.3,
             "sa row speedup regressed on tier {tier}: {s:.2}x (pre-lane baseline 1.04x)"
-        );
-    }
-
-    // The turbo lane's regression gate: on every tier, the turbo `sa`
-    // row must be strictly faster than the delta-table row — otherwise
-    // the lossy contract buys nothing and the lane should not exist.
-    for (tier, (vs_general, vs_delta)) in
-        ["small", "medium", "large"].iter().zip(&sa_turbo_speedups)
-    {
-        assert!(
-            *vs_delta > 1.0,
-            "turbo sa row does not beat the delta-table row on tier {tier}: \
-             {vs_delta:.2}x vs delta-table ({vs_general:.2}x vs the exact engine)"
         );
     }
 

@@ -23,13 +23,13 @@
 //! * `--evaluator` — how static SA prices its annealing moves
 //!   (default `incremental`). Both kinds produce byte-identical
 //!   artifacts — CI runs the tournament under each and diffs the CSVs.
-//! * `--sa-lane {exact,delta-table,turbo}` — which inner-loop
+//! * `--sa-lane {exact,delta-table}` — which inner-loop
 //!   implementation the annealing entries run (default `delta-table`;
-//!   case-insensitive). The lossless lanes produce byte-identical
-//!   artifacts — CI runs the tournament under `exact` and
-//!   `delta-table` and diffs the CSVs; `turbo` is the opt-in lossy
-//!   lane (certified by the corpus-scale equivalence study,
-//!   `lane_study`).
+//!   case-insensitive). Both lanes produce byte-identical artifacts —
+//!   CI runs the tournament under each and diffs the CSVs.
+//!
+//! A missing or unknown `--evaluator`/`--sa-lane` value exits with
+//! status 2 and prints the usage text.
 //! * `--metrics PATH` — additionally write the tournament's
 //!   `anneal-obs` registry (JSON) to `PATH` and its
 //!   deterministic-class view to `PATH.det.json`. Observation never
@@ -41,6 +41,7 @@
 use anneal_arena::{
     paper_instances, run_tournament_observed, standard_instances, Portfolio, TournamentConfig,
 };
+use anneal_bench::flag_value;
 use anneal_core::{EvaluatorKind, SaLane};
 use anneal_obs::{Clock, NullClock, WallClock};
 use anneal_report::csv::f;
@@ -72,18 +73,8 @@ fn main() {
     let mut it = args[1..].iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--evaluator" => {
-                let v = it
-                    .next()
-                    .expect("--evaluator needs 'full' or 'incremental'");
-                evaluator = v.parse().unwrap_or_else(|e| panic!("{e}"));
-            }
-            "--sa-lane" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| panic!("--sa-lane needs one of: {}", SaLane::name_list()));
-                lane = v.parse().unwrap_or_else(|e| panic!("{e}\n{}", usage()));
-            }
+            "--evaluator" => evaluator = flag_value("--evaluator", it.next(), &usage()),
+            "--sa-lane" => lane = flag_value("--sa-lane", it.next(), &usage()),
             "--threads" => {
                 let t = it.next().and_then(|v| v.parse().ok());
                 threads = t.expect("--threads needs a thread count");

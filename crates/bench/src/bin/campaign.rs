@@ -37,7 +37,7 @@
 //! Usage: `campaign [instances] [shards] [seed] [--full] [--shard K]
 //! [--procs N] [--join DIR] [--threads T] [--merge-only] [--no-merge]
 //! [--dir PATH] [--evaluator {full,incremental}]
-//! [--sa-lane {exact,delta-table,turbo}] [--metrics PATH]
+//! [--sa-lane {exact,delta-table}] [--metrics PATH]
 //! [--null-clock] [--progress] [--chaos SPEC] [--max-attempts N]
 //! [--lease-ms MS] [--poll-ms MS] [--stall-timeout-ms MS]`
 //!
@@ -62,9 +62,8 @@
 //! * `--evaluator` — how static SA prices its annealing moves (default
 //!   `incremental`); stamped into `campaign.meta` for provenance.
 //! * `--sa-lane` — inner-loop lane (default `delta-table`, the
-//!   lossless lane; `exact` is its bitwise oracle and `turbo` the
-//!   opt-in lossy lane); stamped into `campaign.meta`, mixing lanes in
-//!   one directory is refused.
+//!   lossless lane; `exact` is its bitwise oracle); stamped into
+//!   `campaign.meta`, mixing lanes in one directory is refused.
 //! * `--metrics PATH` — observe through `anneal-obs`: shards write
 //!   sealed `metrics-<k>.jsonl`, the merge combines them into `PATH`
 //!   plus its deterministic-class view `PATH.det.json` and a summary
@@ -83,14 +82,21 @@
 //!   elsewhere (default 50; backs off exponentially, bounded).
 //! * `--stall-timeout-ms MS` — supervisor watchdog: restart workers
 //!   after this long without campaign progress (default: 4 × lease).
+//!
+//! A missing or unknown `--evaluator`/`--sa-lane` value exits with
+//! status 2 and prints the usage text; so does a `--join` directory
+//! whose `campaign.meta` is unreadable or names an unknown setting.
 
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
+use std::str::FromStr;
 
 use anneal_arena::{
     parse_cells_jsonl, run_shard_observed, shard_file_name, shard_metrics_file_name,
     CampaignConfig, Portfolio,
 };
+use anneal_bench::flag_value;
 use anneal_core::{EvaluatorKind, SaLane};
 use anneal_fleet::{
     commit_bytes, fnv1a64, read_attempts, render_report, run_worker, seal, shard_state, unseal,
@@ -194,18 +200,8 @@ fn parse_args() -> Args {
             "--dir" => {
                 dir = PathBuf::from(it.next().expect("--dir needs a path"));
             }
-            "--evaluator" => {
-                let v = it
-                    .next()
-                    .expect("--evaluator needs 'full' or 'incremental'");
-                evaluator = v.parse().unwrap_or_else(|e| panic!("{e}"));
-            }
-            "--sa-lane" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| panic!("--sa-lane needs one of: {}", SaLane::name_list()));
-                lane = v.parse().unwrap_or_else(|e| panic!("{e}\n{}", usage()));
-            }
+            "--evaluator" => evaluator = flag_value("--evaluator", it.next(), &usage()),
+            "--sa-lane" => lane = flag_value("--sa-lane", it.next(), &usage()),
             "--chaos" => {
                 let spec = it.next().expect("--chaos needs a fault spec");
                 chaos = Some(FaultPlan::parse(spec).unwrap_or_else(|e| panic!("{e}\n{}", usage())));
@@ -288,27 +284,33 @@ fn provenance(cfg: &CampaignConfig, full: bool, evaluator: EvaluatorKind, lane: 
 }
 
 /// Parses a provenance body back into campaign settings — the inverse
-/// of [`provenance`], used by `--join` workers.
-fn parse_provenance(body: &str) -> (CampaignConfig, bool, EvaluatorKind, SaLane) {
-    let field = |key: &str| -> &str {
-        body.lines()
+/// of [`provenance`], used by `--join` workers. The error names the
+/// missing or malformed key.
+fn parse_provenance(body: &str) -> Result<(CampaignConfig, bool, EvaluatorKind, SaLane), String> {
+    fn field<T: FromStr>(body: &str, key: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let raw = body
+            .lines()
             .find_map(|l| l.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
-            .unwrap_or_else(|| panic!("campaign.meta is missing `{key}=`"))
-    };
+            .ok_or_else(|| format!("missing `{key}=`"))?;
+        raw.parse().map_err(|e| format!("bad `{key}={raw}`: {e}"))
+    }
     let cfg = CampaignConfig {
-        instances: field("instances").parse().expect("instances in meta"),
-        shards: field("shards").parse().expect("shards in meta"),
-        base_seed: field("seed").parse().expect("seed in meta"),
+        instances: field(body, "instances")?,
+        shards: field(body, "shards")?,
+        base_seed: field(body, "seed")?,
         max_threads: 0,
     };
-    let full = match field("portfolio") {
+    let full = match field::<String>(body, "portfolio")?.as_str() {
         "standard" => true,
         "fast" => false,
-        other => panic!("campaign.meta has unknown portfolio {other:?}"),
+        other => return Err(format!("bad `portfolio={other}`")),
     };
-    let evaluator = field("evaluator").parse().unwrap_or_else(|e| panic!("{e}"));
-    let lane = field("sa-lane").parse().unwrap_or_else(|e| panic!("{e}"));
-    (cfg, full, evaluator, lane)
+    let evaluator = field(body, "evaluator")?;
+    let lane = field(body, "sa-lane")?;
+    Ok((cfg, full, evaluator, lane))
 }
 
 fn check_provenance(dir: &Path, expected: &str) {
@@ -476,19 +478,20 @@ fn run_fleet_worker(
 /// machine it runs on — computes from identical settings. Exits 0 when
 /// all shards are terminal, [`DEGRADED_EXIT`] when some failed.
 fn run_join(args: &Args, dir: &Path) -> i32 {
-    let sealed = std::fs::read_to_string(dir.join("campaign.meta")).unwrap_or_else(|e| {
-        panic!(
-            "--join {}: no readable campaign.meta ({e}); start the campaign first",
-            dir.display()
-        )
-    });
-    let body = unseal(&sealed).unwrap_or_else(|e| {
-        panic!(
-            "--join {}: campaign.meta failed validation: {e}",
-            dir.display()
-        )
-    });
-    let (mut cfg, full, evaluator, lane) = parse_provenance(body);
+    let meta = std::fs::read_to_string(dir.join("campaign.meta"))
+        .map_err(|e| format!("no readable campaign.meta ({e}); start the campaign first"))
+        .and_then(|sealed| {
+            let body =
+                unseal(&sealed).map_err(|e| format!("campaign.meta failed validation: {e}"))?;
+            parse_provenance(body).map_err(|e| format!("campaign.meta: {e}"))
+        });
+    let (mut cfg, full, evaluator, lane) = match meta {
+        Ok(settings) => settings,
+        Err(e) => {
+            eprintln!("--join {}: {e}", dir.display());
+            return 2;
+        }
+    };
     cfg.max_threads = args.cfg.max_threads;
     let runner = CampaignRunner {
         portfolio: if full {

@@ -147,6 +147,24 @@ pub fn paper_table2() -> Vec<(&'static str, &'static str, [f64; 4])> {
     ]
 }
 
+/// Parses the value that follows `flag` on a command line. A missing
+/// or unparsable value is a usage error, not a crash: it prints the
+/// problem and the binary's `usage` text to stderr and exits with
+/// status 2.
+pub fn flag_value<T>(flag: &str, value: Option<&String>, usage: &str) -> T
+where
+    T: std::str::FromStr<Err = String>,
+{
+    let parsed = match value {
+        Some(v) => v.parse(),
+        None => Err(format!("{flag} needs a value")),
+    };
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}\n\n{usage}");
+        std::process::exit(2)
+    })
+}
+
 /// Where the harness binaries drop CSV artifacts.
 pub fn results_dir() -> std::path::PathBuf {
     std::path::PathBuf::from("results")

@@ -124,3 +124,29 @@ fn mismatched_parameters_are_refused_on_resume() {
     assert!(stderr.contains("different parameters"), "{stderr}");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn unknown_lane_in_provenance_is_a_usage_error_on_join() {
+    // A `campaign.meta` stamped by an older build that had a lane this
+    // one no longer knows: `--join` must refuse it with exit 2 and a
+    // message naming the key, not panic.
+    let dir = fresh_dir("stale-lane");
+    run_campaign(&dir, &["--shard", "0", "--no-merge"]);
+    let meta = dir.join("campaign.meta");
+    let sealed = std::fs::read_to_string(&meta).unwrap();
+    let body = anneal_fleet::unseal(&sealed).unwrap();
+    assert!(body.contains("sa-lane=delta-table\n"), "{body}");
+    let stale = body.replace("sa-lane=delta-table", "sa-lane=turbo");
+    std::fs::write(&meta, anneal_fleet::seal(&stale)).unwrap();
+
+    let out = bin()
+        .args(["--threads", "2", "--join"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("sa-lane"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -12,10 +12,10 @@
 //! pure functions of the (fixed) packet shape.
 //!
 //! This module packages those observations as a **lane** the schedulers
-//! select with [`SaLane`]:
+//! select with [`SaLane`]. There are two:
 //!
 //! * [`SaLane::Exact`] — the original engine, unchanged. It is the
-//!   oracle the other lanes are judged against.
+//!   oracle the delta-table lane is judged against.
 //! * [`SaLane::DeltaTable`] — the fast lane in its *lossless* table
 //!   configuration: every accept/reject decision, every RNG draw, and
 //!   every floating-point cost value is **bit-identical** to the exact
@@ -24,16 +24,6 @@
 //!   band, or the bucket brushes `p == 1.0` where the draw count itself
 //!   is at stake) it falls back to the exact `exp()` path, so
 //!   losslessness is a theorem, not a tolerance. The default lane.
-//! * [`SaLane::Turbo`] — the opt-in certified-lossy lane: it drops the
-//!   RNG stream contract entirely. Proposals draw from a counter-based
-//!   stream ([`crate::rng_stream`], batched with no sequential
-//!   dependency), bounded draws use a multiply-high reduction instead
-//!   of zone rejection, and acceptance is the pure midpoint threshold
-//!   ([`AcceptTable::turbo_threshold`]) with **no** exact-fallback
-//!   slack bands. It prices moves from the delta-table lane's `f64`
-//!   cost tables. The lane is certified by a corpus-scale statistical
-//!   equivalence study (`lane_study` bin → `results/LANE_EQUIV.json`,
-//!   gated in `tests/sa_lane_turbo.rs`), not by any bitwise oracle.
 //!
 //! # The oracle contract
 //!
@@ -104,7 +94,7 @@
 //! * **Temperature memo.** [`SaScratch`] memoizes
 //!   `cooling.temperature(k)` per schedule. It is the same expression
 //!   with the same bits, evaluated once per step index per scratch
-//!   instead of once per packet. The turbo loop reads the same memo.
+//!   instead of once per packet.
 //!
 //! Debug builds shadow the loop. At every temperature-step boundary the
 //! running `(F_b, F_c, cost)` must equal `raw_full()`/`total()` bit for
@@ -140,24 +130,17 @@ pub enum SaLane {
     /// to [`SaLane::Exact`], faster. The default.
     #[default]
     DeltaTable,
-    /// Certified-lossy fast lane, opt-in: counter-based RNG streams
-    /// ([`crate::rng_stream`]) and no-fallback midpoint acceptance on
-    /// the delta-table lane's `f64` cost tables. No bitwise or
-    /// draw-count contract — gated by the corpus-scale statistical
-    /// equivalence study instead.
-    Turbo,
 }
 
 impl SaLane {
     /// Every lane, in CLI/display order (what `--sa-lane` accepts).
-    pub const ALL: [SaLane; 3] = [SaLane::Exact, SaLane::DeltaTable, SaLane::Turbo];
+    pub const ALL: [SaLane; 2] = [SaLane::Exact, SaLane::DeltaTable];
 
     /// Stable lowercase name (CSV provenance, CLI flags).
     pub fn name(self) -> &'static str {
         match self {
             SaLane::Exact => "exact",
             SaLane::DeltaTable => "delta-table",
-            SaLane::Turbo => "turbo",
         }
     }
 
@@ -170,11 +153,6 @@ impl SaLane {
             .collect::<Vec<_>>()
             .join(", ")
     }
-
-    /// Whether this lane is bit-identical to [`SaLane::Exact`].
-    pub fn is_lossless(self) -> bool {
-        self != SaLane::Turbo
-    }
 }
 
 impl fmt::Display for SaLane {
@@ -186,7 +164,7 @@ impl fmt::Display for SaLane {
 impl FromStr for SaLane {
     type Err = String;
 
-    /// Case-insensitive: `Turbo`, `TURBO` and `turbo` all parse.
+    /// Case-insensitive: `Exact`, `EXACT` and `exact` all parse.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let lower = s.to_ascii_lowercase();
         SaLane::ALL
@@ -302,25 +280,6 @@ struct Bucket {
     lo: f64,
     /// `u ≥ hi` proves reject (`hi ≥ p` everywhere in the bucket).
     hi: f64,
-    /// **Midpoint-threshold invariant** (the documented decision rule
-    /// of the `Turbo` lane, surfaced by
-    /// [`AcceptTable::turbo_threshold`]): `mid` is the *exact*
-    /// acceptance probability evaluated at the bucket's center
-    /// `x_center = x_lo + (i + ½)·w` — not an average, not an
-    /// interpolation — and a lossy decision is `u < mid` for one
-    /// uniform draw `u ∈ [0, 1)`. Because both rules are monotone
-    /// decreasing in `x`, `mid` always lies inside the conservative
-    /// bracket: `lo ≤ mid ≤ hi` (up to the bracket slack), so the
-    /// midpoint decision can only differ from the exact decision when
-    /// `u` falls inside the bucket's probability span (≤ the bucket
-    /// width in probability, ~2.5e-4). Pinned by the
-    /// `midpoint_threshold_semantics_are_pinned` test.
-    mid: f64,
-    /// `mid` premultiplied into 53-bit draw space:
-    /// `⌊mid · 2⁵³⌋`, so the turbo loop decides `(draw >> 11) <
-    /// mid_bits` with no int→float conversion per move (see
-    /// [`AcceptTable::turbo_threshold_bits`]).
-    mid_bits: u64,
     /// The bucket brushes `p == 1.0`, where even the *number* of RNG
     /// draws depends on the exact probability — delegate wholesale.
     exact: bool,
@@ -337,7 +296,7 @@ struct Bucket {
 /// few-ulp `exp` evaluation error); outside it the decision is a
 /// region shortcut (`p` provably 0 or 1, or so small only `u == 0.0`
 /// accepts). A uniform draw `u` outside `[lo, hi)` is decided by the
-/// table; inside it, the lossless configuration re-evaluates the exact
+/// table; inside it, [`AcceptTable::accept_lossless`] re-evaluates the exact
 /// probability with the *already drawn* `u`, preserving both the
 /// decision and the stream position bit-for-bit.
 #[derive(Debug)]
@@ -427,11 +386,6 @@ const TABLE_BUCKETS: usize = 4096;
 /// microscopically thin.
 const TABLE_SLACK: f64 = 1e-12;
 
-/// The turbo draw space: acceptance draws are the top 53 bits of a
-/// `u64`, uniform on `[0, 2⁵³)`; a threshold of `TURBO_DRAW_SPAN`
-/// accepts every draw.
-pub const TURBO_DRAW_SPAN: u64 = 1 << 53;
-
 impl AcceptTable {
     fn build(rule: AcceptanceRule) -> AcceptTable {
         // HeatBath: p(x) = 1/(1+eˣ). For x ≤ −37, eˣ ≤ 8.6e-17 < 2⁻⁵³
@@ -460,12 +414,9 @@ impl AcceptTable {
             // is the bucket's supremum and the right edge its infimum.
             let pl = acceptance_probability(rule, xl, 1.0);
             let pr = acceptance_probability(rule, xr, 1.0);
-            let mid = acceptance_probability(rule, xl + 0.5 * w, 1.0);
             buckets.push(Bucket {
                 lo: pr - TABLE_SLACK,
                 hi: pl + TABLE_SLACK,
-                mid,
-                mid_bits: (mid * TURBO_DRAW_SPAN as f64) as u64,
                 exact: pl >= near_one,
             });
         }
@@ -534,96 +485,6 @@ impl AcceptTable {
     /// The rule this table quantizes.
     pub fn rule(&self) -> AcceptanceRule {
         self.rule
-    }
-
-    /// The turbo lane's draw-free decision rule: for `x = ΔF/T`,
-    /// returns the probability threshold `th` such that the acceptance
-    /// decision is `u < th` for a single uniform draw `u ∈ [0, 1)`.
-    ///
-    /// This is the **no-fallback midpoint rule** — the documented
-    /// invariant the turbo lane is built on (see the `Bucket::mid`
-    /// field contract):
-    ///
-    /// * `x ≤ x_lo` (provable accept region; for Metropolis this is
-    ///   `x ≤ 0`) → `1.0` (always accept);
-    /// * `x ≥ tail_from` → `0.0` (always reject — this swallows both
-    ///   the `p < 2⁻⁵³` tail and the `x > 700` overflow region, *for
-    ///   both rules*: where the lossless lane delegates Metropolis
-    ///   beyond 700 to the exact path because the draw count is at
-    ///   stake, turbo simply rejects a `p ≤ e⁻⁷⁰⁰` move);
-    /// * otherwise → the bucket's exact center probability `mid`,
-    ///   **including** the `exact`-marked buckets the lossless lane
-    ///   delegates (there `mid` rounds to ~1.0, so the decision is a
-    ///   near-certain accept).
-    ///
-    /// A NaN `x` saturates to bucket 0 (threshold ≈ 1, near-certain
-    /// accept) instead of panicking — a documented divergence from the
-    /// exact lane, whose `gen_bool` panics on NaN. Monotone
-    /// non-increasing in `x` up to the bracket slack.
-    #[inline]
-    pub fn turbo_threshold(&self, x: f64) -> f64 {
-        if x <= self.x_lo {
-            return 1.0;
-        }
-        if x >= self.tail_from {
-            return 0.0;
-        }
-        let i = (((x - self.x_lo) * self.inv_w) as usize).min(self.buckets.len() - 1);
-        self.buckets[i].mid
-    }
-
-    /// [`AcceptTable::turbo_threshold`] in integer draw space: the
-    /// decision for one draw `v` is `(v >> 11) < bits`, so the hot
-    /// loop compares two integers instead of converting the draw to a
-    /// `f64` every move. Returns [`TURBO_DRAW_SPAN`] for the certain
-    /// accept region and `0` for certain reject; in between,
-    /// `⌊mid · 2⁵³⌋` (precomputed per bucket). The flooring merges the
-    /// `p < 2⁻⁵³` bucket tail into certain reject — a ≤ 2⁻⁵³ per-move
-    /// probability shift against the `f64` rule, far inside the lossy
-    /// lane's statistical contract (pinned against the `f64` form by
-    /// `turbo_threshold_bits_mirror_the_float_rule`).
-    #[inline]
-    pub fn turbo_threshold_bits(&self, x: f64) -> u64 {
-        if x <= self.x_lo {
-            return TURBO_DRAW_SPAN;
-        }
-        if x >= self.tail_from {
-            return 0;
-        }
-        let i = (((x - self.x_lo) * self.inv_w) as usize).min(self.buckets.len() - 1);
-        self.buckets[i].mid_bits
-    }
-
-    /// Turbo accept/reject: the [`AcceptTable::turbo_threshold`]
-    /// midpoint rule with at most one uniform draw and **zero** exact
-    /// fallbacks — `counters.fallback` is never incremented (pinned by
-    /// tests). Certain decisions (threshold 0 or 1, frozen
-    /// temperature) consume no draw, so the RNG stream position is
-    /// *not* the exact lane's: this entry is only for lossy-lane
-    /// callers (static SA's turbo arm, [`SaScratch::anneal_turbo`]).
-    #[inline]
-    pub fn accept_turbo<R: RngCore + ?Sized>(
-        &self,
-        delta: f64,
-        temp: f64,
-        rng: &mut R,
-        counters: &mut LaneCounters,
-    ) -> bool {
-        if temp <= TEMP_EPSILON {
-            counters.shortcut += 1;
-            return delta < 0.0;
-        }
-        let th = self.turbo_threshold(delta / temp);
-        if th >= 1.0 {
-            counters.shortcut += 1;
-            true
-        } else if th <= 0.0 {
-            counters.shortcut += 1;
-            false
-        } else {
-            counters.table += 1;
-            unit_f64(rng) < th
-        }
     }
 
     /// Lossless accept/reject: bit-identical decision *and* RNG
@@ -1287,252 +1148,6 @@ impl SaScratch {
         cost.to_bits() == self.total(fb, fc).to_bits()
             && (!self.exact_sums || (rb.to_bits() == fb.to_bits() && rc.to_bits() == fc.to_bits()))
     }
-
-    /// Runs the **turbo** lane's annealing loop on the loaded packet —
-    /// the certified-lossy counterpart of [`SaScratch::anneal_loaded`].
-    ///
-    /// Same proposal distribution, cooling schedule, convergence rule
-    /// and keep-best semantics as the exact engine, but none of its
-    /// bit-level contracts:
-    ///
-    /// * task/processor draws use a multiply-high (Lemire) reduction —
-    ///   one draw per proposal, no zone-rejection loop. The
-    ///   "processor ≠ current" constraint is met by drawing from
-    ///   `p − 1` values and skipping past the current processor
-    ///   instead of redrawing (bias `< p/2⁶⁴`: immeasurable);
-    /// * acceptance is the no-fallback midpoint threshold
-    ///   ([`AcceptTable::turbo_threshold`]) on a per-temperature-step
-    ///   precomputed `1/T` — zero `exp()` on the hot path;
-    /// * the eq. 6 normalization is folded into two precomputed
-    ///   multipliers (`w_b/ΔF_b`, `w_c/ΔF_c`), removing both per-move
-    ///   divisions.
-    ///
-    /// `rng` is whatever stream the caller chose;
-    /// [`crate::sa::SaScheduler`] passes a per-packet
-    /// [`crate::rng_stream::CounterRng`]. Deterministic per `(rng
-    /// stream, params)`; certified against the exact lane
-    /// statistically (see
-    /// `tests/sa_lane_turbo.rs` and `results/LANE_EQUIV.json`), never
-    /// bitwise.
-    pub fn anneal_turbo<R: RngCore + ?Sized>(
-        &mut self,
-        params: &AnnealParams,
-        rng: &mut R,
-        want_trace: bool,
-        counters: &mut LaneCounters,
-    ) -> LaneOutcome {
-        // Monomorphize on tracing so the untraced loop drops the
-        // sample bookkeeping at compile time.
-        if want_trace {
-            self.turbo_core::<R, true>(params, rng, counters)
-        } else {
-            self.turbo_core::<R, false>(params, rng, counters)
-        }
-    }
-
-    /// The monomorphized turbo loop behind [`SaScratch::anneal_turbo`]
-    /// (`TRACE` = record per-move samples).
-    fn turbo_core<R: RngCore + ?Sized, const TRACE: bool>(
-        &mut self,
-        params: &AnnealParams,
-        rng: &mut R,
-        counters: &mut LaneCounters,
-    ) -> LaneOutcome {
-        let n = self.n;
-        let p = self.p;
-        assert!(n > 0 && p > 0, "empty packet");
-        let table = accept_table(params.acceptance);
-        self.use_schedule(params);
-
-        match params.init {
-            InitRule::Random => self.saturate_random(rng),
-            InitRule::InOrder => self.saturate_in_order(),
-        }
-        let (mut fb, mut fc) = self.raw_full();
-        // Eq. 6 with the divisions hoisted: total = kb·F_b + kc·F_c.
-        let kb = self.wb / self.range_b;
-        let kc = self.wc / self.range_c;
-        let mut cost = kb * fb + kc * fc;
-        let mut best_cost = cost;
-        self.best_proc_of.copy_from_slice(&self.proc_of);
-
-        let mut trace = TRACE.then(|| PacketTrace {
-            packet: 0,
-            epoch_time: self.epoch_time,
-            candidates: n,
-            idle: p,
-            samples: Vec::with_capacity(params.max_iters as usize),
-        });
-
-        let moves_per_temp = if params.moves_per_temp == 0 {
-            (2 * n).max(8)
-        } else {
-            params.moves_per_temp
-        };
-
-        // Multiply-high bounded draw on a 32-bit word: maps it onto
-        // [0, bound) with one widening multiply (bias < bound/2³²;
-        // packet dimensions are far below 2¹⁶, so the bias is
-        // negligible). One 64-bit draw supplies both indices of a
-        // move — task from the high half, processor from the low half
-        // — halving the draw count of the selection step.
-        #[inline]
-        fn mulhi32(v: u32, bound: u64) -> usize {
-            ((u64::from(v) * bound) >> 32) as usize
-        }
-
-        let mut accepted_count = 0u64;
-        let mut stable = 0u64;
-        let mut k = 0u64;
-        let mut moves = 0u64;
-        // Decision counters stay in registers for the whole run; the
-        // shared `LaneCounters` is settled once at the end.
-        let mut n_shortcut = 0u64;
-        let mut n_table = 0u64;
-        while k < params.max_iters && stable < params.stable_iters {
-            let temp = self.temperature(&params.cooling, k);
-            let frozen = temp <= TEMP_EPSILON;
-            let inv_temp = if frozen { 0.0 } else { 1.0 / temp };
-            let mut cost_changed = false;
-            for _ in 0..moves_per_temp {
-                let w = rng.next_u64();
-                let task = mulhi32((w >> 32) as u32, n as u64);
-                let cur = self.proc_of[task];
-                let mut was_accepted = false;
-                if !(p == 1 && cur == 0) {
-                    // Draw a processor ≠ current by skipping past it
-                    // (low half of the same word, no rejection loop).
-                    let proc = if cur == NONE {
-                        mulhi32(w as u32, p as u64)
-                    } else {
-                        let r = mulhi32(w as u32, (p - 1) as u64);
-                        r + usize::from(r as u32 >= cur)
-                    };
-                    let occ = self.task_at[proc];
-                    let (dfb, dfc) = self.price_move(task, cur, proc, occ);
-                    // Lossy shortcut: price the delta directly instead
-                    // of re-deriving it from two full-cost sums (the
-                    // exact lane's association; numerically different,
-                    // covered by the statistical contract).
-                    let delta = kb * dfb + kc * dfc;
-                    let acc = if frozen {
-                        n_shortcut += 1;
-                        delta < 0.0
-                    } else {
-                        // Unconditional draw: certain decisions burn a
-                        // word the `f64` rule would skip, but the draw
-                        // no longer waits on the threshold compare
-                        // (the counter stream is cheap and certain
-                        // buckets are <10% of warm-phase moves), and
-                        // the accept decision is one branch-free
-                        // integer compare.
-                        let tb = table.turbo_threshold_bits(delta * inv_temp);
-                        let certain = u64::from(tb == TURBO_DRAW_SPAN || tb == 0);
-                        n_shortcut += certain;
-                        n_table += 1 - certain;
-                        (rng.next_u64() >> 11) < tb
-                    };
-                    if acc {
-                        if occ == NONE {
-                            if cur != NONE {
-                                self.task_at[cur as usize] = NONE;
-                            }
-                        } else if cur != NONE {
-                            self.proc_of[occ as usize] = cur;
-                            self.task_at[cur as usize] = occ;
-                        } else {
-                            self.proc_of[occ as usize] = NONE;
-                        }
-                        self.proc_of[task] = proc as u32;
-                        self.task_at[proc] = task as u32;
-                        if TRACE {
-                            fb += dfb;
-                            fc += dfc;
-                        }
-                        was_accepted = true;
-                        accepted_count += 1;
-                        cost_changed |= delta.abs() > 1e-12;
-                        cost += delta;
-                    }
-                }
-                if let Some(tr) = trace.as_mut() {
-                    tr.samples.push(TraceSample {
-                        iter: moves,
-                        temp,
-                        f_b_raw: fb,
-                        f_c_raw: fc,
-                        f_b_norm: kb * fb,
-                        f_c_norm: kc * fc,
-                        f_total: cost,
-                        accepted: was_accepted,
-                    });
-                }
-                moves += 1;
-            }
-            // Keep-best at temperature-step granularity: the exact
-            // lane snapshots the mapping on every improving move; here
-            // the O(n) copy amortizes over the 2n moves of the step
-            // (lossy — an intra-step best can be lost; covered by the
-            // statistical contract).
-            if params.keep_best && cost < best_cost {
-                best_cost = cost;
-                self.best_proc_of.copy_from_slice(&self.proc_of);
-            }
-            if cost_changed {
-                stable = 0;
-            } else {
-                stable += 1;
-            }
-            k += 1;
-        }
-        counters.shortcut += n_shortcut;
-        counters.table += n_table;
-
-        let final_cost = if params.keep_best && best_cost < cost {
-            self.proc_of.copy_from_slice(&self.best_proc_of);
-            best_cost
-        } else {
-            cost
-        };
-        LaneOutcome {
-            iterations: k,
-            moves,
-            accepted: accepted_count,
-            final_cost,
-            trace,
-        }
-    }
-
-    /// Prices a transfer/swap of `task` (on `cur`) to `proc` (holding
-    /// `occ`) from the `f64` tables — the exact lane's verbatim
-    /// expressions, shared with [`SaScratch::anneal_loaded`]'s inline
-    /// form.
-    #[inline]
-    fn price_move(&self, task: usize, cur: u32, proc: usize, occ: u32) -> (f64, f64) {
-        let p = self.p;
-        if occ == NONE {
-            let (old_fb, old_fc) = if cur != NONE {
-                (-self.lv[task], self.cc[task * p + cur as usize])
-            } else {
-                (0.0, 0.0)
-            };
-            (-self.lv[task] - old_fb, self.cc[task * p + proc] - old_fc)
-        } else {
-            let other = occ as usize;
-            if cur != NONE {
-                let f = cur as usize;
-                let fc_before = self.cc[task * p + f] + self.cc[other * p + proc];
-                let fc_after = self.cc[task * p + proc] + self.cc[other * p + f];
-                (0.0, fc_after - fc_before)
-            } else {
-                let fb_before = -self.lv[other];
-                let fb_after = -self.lv[task];
-                let fc_before = self.cc[other * p + proc];
-                let fc_after = self.cc[task * p + proc];
-                (fb_after - fb_before, fc_after - fc_before)
-            }
-        }
-    }
 }
 
 /// Shared configuration for [`anneal_packet_lane`].
@@ -1554,9 +1169,7 @@ pub struct LaneRun<'a> {
 
 /// Runs one packet through the selected lane and returns an exact-lane
 /// compatible [`PacketOutcome`] — the single entry point the equality
-/// oracle tests drive for every lane. The turbo arm runs on the
-/// caller's `rng` as-is; the per-packet counter-based stream is chosen
-/// one level up, in [`crate::sa::SaScheduler`].
+/// oracle tests drive for every lane.
 pub fn anneal_packet_lane<R: Rng + ?Sized>(
     packet: &AnnealingPacket,
     run: &LaneRun<'_>,
@@ -1569,13 +1182,9 @@ pub fn anneal_packet_lane<R: Rng + ?Sized>(
             let cm = CostModel::new(packet, run.wb, run.wc, run.balance);
             crate::annealer::anneal_packet(packet, &cm, run.params, rng, run.want_trace)
         }
-        lane => {
+        SaLane::DeltaTable => {
             scratch.load_packet(packet, run.wb, run.wc, run.balance);
-            let out = if lane == SaLane::Turbo {
-                scratch.anneal_turbo(run.params, rng, run.want_trace, counters)
-            } else {
-                scratch.anneal_loaded(run.params, rng, run.want_trace, counters)
-            };
+            let out = scratch.anneal_loaded(run.params, rng, run.want_trace, counters);
             PacketOutcome {
                 assignment: scratch.assignments().collect(),
                 iterations: out.iterations,
@@ -1720,9 +1329,8 @@ mod tests {
         for rule in rules() {
             let t = accept_table(rule);
             for b in &t.buckets {
-                assert!(b.lo.is_finite() && b.hi.is_finite() && b.mid.is_finite());
+                assert!(b.lo.is_finite() && b.hi.is_finite());
                 assert!(b.lo <= b.hi);
-                assert!((0.0..=1.0).contains(&b.mid));
             }
             assert!(t.buckets.first().expect("nonempty").exact, "{rule:?}");
             assert!(!t.buckets.last().expect("nonempty").exact, "{rule:?}");
@@ -1761,197 +1369,16 @@ mod tests {
             assert_eq!(lane.name().to_ascii_uppercase().parse::<SaLane>(), Ok(lane));
         }
         assert_eq!("Delta-Table".parse::<SaLane>(), Ok(SaLane::DeltaTable));
-        assert_eq!("TURBO".parse::<SaLane>(), Ok(SaLane::Turbo));
         assert_eq!(SaLane::default(), SaLane::DeltaTable);
-        assert!(SaLane::Exact.is_lossless());
-        assert!(SaLane::DeltaTable.is_lossless());
-        assert!(!SaLane::Turbo.is_lossless());
-        assert_eq!(SaLane::name_list(), "exact, delta-table, turbo");
+        assert_eq!(SaLane::name_list(), "exact, delta-table");
         let err = "bogus".parse::<SaLane>().unwrap_err();
         assert_eq!(
             err,
-            "unknown SA lane 'bogus' (expected one of: exact, delta-table, turbo)"
+            "unknown SA lane 'bogus' (expected one of: exact, delta-table)"
         );
-        // The removed lossy lane no longer parses.
+        // The removed lossy lanes no longer parse.
         assert!("quantized".parse::<SaLane>().is_err());
-    }
-
-    /// Pins the midpoint-threshold invariant documented on `Bucket::mid`
-    /// and surfaced by [`AcceptTable::turbo_threshold`]: the threshold
-    /// is the exact probability at the bucket center, it sits inside the
-    /// conservative bracket, and the region shortcuts match the table's
-    /// provable-decision seams.
-    #[test]
-    fn midpoint_threshold_semantics_are_pinned() {
-        for rule in rules() {
-            let t = accept_table(rule);
-            let w = 1.0 / t.inv_w;
-            for (i, b) in t.buckets.iter().enumerate() {
-                let x_center = t.x_lo + (i as f64 + 0.5) * w;
-                assert_eq!(
-                    b.mid,
-                    acceptance_probability(rule, x_center, 1.0),
-                    "{rule:?} bucket {i}: mid must be the exact center probability"
-                );
-                assert!(
-                    b.lo <= b.mid && b.mid <= b.hi,
-                    "{rule:?} bucket {i}: mid outside the conservative bracket"
-                );
-                // The no-fallback rule reads mid for every in-range x,
-                // including the exact-marked buckets the lossless lane
-                // delegates.
-                assert_eq!(t.turbo_threshold(x_center), b.mid, "{rule:?} bucket {i}");
-            }
-            // Region seams.
-            assert_eq!(t.turbo_threshold(t.x_lo), 1.0);
-            assert_eq!(t.turbo_threshold(f64::NEG_INFINITY), 1.0);
-            assert_eq!(t.turbo_threshold(t.tail_from), 0.0);
-            assert_eq!(t.turbo_threshold(701.0), 0.0);
-            assert_eq!(t.turbo_threshold(f64::INFINITY), 0.0);
-            // NaN saturates to bucket 0 (near-certain accept), no panic.
-            assert!(t.turbo_threshold(f64::NAN) > 0.99);
-            // Monotone non-increasing scan (up to bracket slack).
-            let mut prev = 1.0;
-            let mut x = t.x_lo;
-            while x < t.tail_from + 1.0 {
-                let th = t.turbo_threshold(x);
-                assert!(
-                    th <= prev + 2.0 * TABLE_SLACK,
-                    "{rule:?}: threshold not monotone at x={x}"
-                );
-                prev = th;
-                x += w * 0.37;
-            }
-        }
-    }
-
-    /// Pins the integer-draw-space form the turbo loop decides on:
-    /// everywhere, `turbo_threshold_bits(x)` is exactly
-    /// `⌊turbo_threshold(x) · 2⁵³⌋` (with the certain regions mapping
-    /// to `TURBO_DRAW_SPAN` / `0`), so the two forms disagree on a
-    /// draw with probability at most `2⁻⁵³` per move.
-    #[test]
-    fn turbo_threshold_bits_mirror_the_float_rule() {
-        for rule in rules() {
-            let t = accept_table(rule);
-            let w = 1.0 / t.inv_w;
-            let mut x = t.x_lo - 1.0;
-            while x < t.tail_from + 1.0 {
-                let th = t.turbo_threshold(x);
-                let bits = t.turbo_threshold_bits(x);
-                assert_eq!(
-                    bits,
-                    (th * TURBO_DRAW_SPAN as f64) as u64,
-                    "{rule:?}: bits form diverges at x={x}"
-                );
-                assert!(bits <= TURBO_DRAW_SPAN, "{rule:?} at x={x}");
-                x += w * 0.37;
-            }
-            // Region seams and non-finite inputs agree with the f64
-            // form's saturation behavior.
-            assert_eq!(t.turbo_threshold_bits(f64::NEG_INFINITY), TURBO_DRAW_SPAN);
-            assert_eq!(t.turbo_threshold_bits(t.x_lo), TURBO_DRAW_SPAN);
-            assert_eq!(t.turbo_threshold_bits(t.tail_from), 0);
-            assert_eq!(t.turbo_threshold_bits(f64::INFINITY), 0);
-            let nan_bits = t.turbo_threshold_bits(f64::NAN);
-            assert!(
-                nan_bits > (TURBO_DRAW_SPAN / 100) * 99,
-                "NaN saturates to near-certain accept"
-            );
-        }
-    }
-
-    #[test]
-    fn accept_turbo_never_falls_back_and_tracks_the_exact_rate() {
-        for rule in rules() {
-            let t = accept_table(rule);
-            let mut c = LaneCounters::default();
-            let mut r = StdRng::seed_from_u64(11);
-            let mut n = 0u64;
-            // A hostile sweep including the regions the lossless lane
-            // delegates to exp(): exact-marked buckets and the
-            // Metropolis x > 700 overflow band.
-            for &x in &[
-                -100.0,
-                -37.0,
-                -36.9,
-                -1.0,
-                0.0,
-                1e-9,
-                0.05,
-                0.5,
-                3.0,
-                37.9,
-                39.0,
-                500.0,
-                699.0,
-                701.0,
-                1e6,
-                f64::NAN,
-            ] {
-                for _ in 0..50 {
-                    t.accept_turbo(x, 1.0, &mut r, &mut c);
-                    n += 1;
-                }
-            }
-            assert_eq!(c.fallback, 0, "{rule:?}: turbo must never fall back");
-            assert_eq!(c.decisions(), n, "{rule:?}");
-            assert!(c.shortcut > 0 && c.table > 0, "{rule:?}");
-            // Frozen temperature: strict descent, no draw.
-            let mut before = r.clone();
-            assert!(t.accept_turbo(-0.5, 0.0, &mut r, &mut c));
-            assert!(!t.accept_turbo(0.5, 0.0, &mut r, &mut c));
-            assert_eq!(r.next_u64(), before.next_u64());
-            // Statistical agreement with the exact probability at a few
-            // mid-range points, to within 2 percentage points.
-            for &x in &[0.1, 0.7, 2.5] {
-                let p_true = acceptance_probability(rule, x, 1.0);
-                let mut r = StdRng::seed_from_u64(123);
-                let trials = 20_000;
-                let hits = (0..trials)
-                    .filter(|_| t.accept_turbo(x, 1.0, &mut r, &mut c))
-                    .count();
-                let rate = hits as f64 / trials as f64;
-                assert!(
-                    (rate - p_true).abs() < 0.02,
-                    "{rule:?} x={x}: rate {rate} vs p {p_true}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn turbo_lane_replays_deterministically_per_stream() {
-        use crate::rng_stream::CounterRng;
-
-        // Same packet + same (seed, packet-index) stream → identical
-        // outcome; a different stream reaches a different trajectory.
-        let params = AnnealParams::default();
-        let packet = crate::packet::AnnealingPacket {
-            tasks: (0..6).map(TaskId::from_index).collect(),
-            procs: (0..3).map(ProcId::from_index).collect(),
-            levels: vec![9, 7, 5, 4, 2, 1],
-            comm_cost: vec![vec![3, 0, 2]; 6],
-            worst_comm: vec![3; 6],
-            epoch_time: 0,
-        };
-        let run = |seed: u64, stream: u64| {
-            let mut scratch = SaScratch::new();
-            let mut counters = LaneCounters::default();
-            scratch.load_packet(&packet, 0.5, 0.5, BalanceRange::Full);
-            let mut rng = CounterRng::new(seed, stream);
-            let out = scratch.anneal_turbo(&params, &mut rng, false, &mut counters);
-            assert_eq!(counters.fallback, 0, "turbo never falls back");
-            (out.final_cost, scratch.proc_of.clone(), out.accepted)
-        };
-        assert_eq!(run(42, 0), run(42, 0));
-        let a = run(42, 0);
-        let b = run(43, 0);
-        let c2 = run(42, 1);
-        // Different streams should decorrelate the accepted-move count
-        // (not a hard guarantee per pair, so only require *some*
-        // difference across the two perturbations).
-        assert!(a != b || a != c2, "distinct streams replayed identically");
+        assert!("turbo".parse::<SaLane>().is_err());
     }
 
     #[test]

@@ -37,14 +37,10 @@
 //! * [`anomaly`] — Graham (1969) multiprocessor anomaly instances; the
 //!   paper observes SA "is able to optimally solve the Graham list
 //!   scheduling anomalies".
-//! * [`lane`] — the delta-table SA fast lane ([`lane::SaLane`]): flat
-//!   per-packet cost tables and a quantized Boltzmann acceptance table,
-//!   lossless by construction against the exact engine; plus the
-//!   certified-lossy **turbo** lane ([`lane::SaLane::Turbo`]) gated by a
-//!   corpus-scale statistical equivalence study.
-//! * [`rng_stream`] — counter-based RNG streams for the turbo lane:
-//!   draw `k` of stream `(seed, packet)` is a pure function, so draws
-//!   batch with no sequential dependency.
+//! * [`lane`] — the two SA lanes ([`lane::SaLane`]): the exact engine
+//!   and the default delta-table fast lane, whose flat per-packet cost
+//!   tables and quantized Boltzmann acceptance table are bit-identical
+//!   to the exact engine by construction.
 //! * [`parallel`] — seeded multi-restart SA across threads.
 //! * [`eval`] — the shared [`Evaluator`] layer for mapping-based
 //!   schedulers: a full-replay reference and an incremental
@@ -78,7 +74,6 @@ pub mod mct;
 pub mod optimal;
 pub mod packet;
 pub mod parallel;
-pub mod rng_stream;
 pub mod sa;
 pub mod static_sa;
 pub mod trace;
@@ -90,6 +85,5 @@ pub use hlf::HlfScheduler;
 pub use lane::{accept_table, AcceptTable, LaneCounters, SaLane, SaScratch};
 pub use mct::MctScheduler;
 pub use parallel::{PoolStats, ScratchPool};
-pub use rng_stream::{stream_draw, CounterRng};
 pub use sa::{SaConfig, SaScheduler, SaStats};
 pub use trace::{PacketTrace, TraceSample};

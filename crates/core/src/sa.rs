@@ -13,7 +13,6 @@ use crate::cooling::CoolingSchedule;
 use crate::cost::{BalanceRange, CostModel};
 use crate::lane::{LaneCounters, SaLane, SaScratch};
 use crate::packet::AnnealingPacket;
-use crate::rng_stream::CounterRng;
 use crate::trace::PacketTrace;
 
 /// Full configuration of the SA scheduler.
@@ -118,8 +117,6 @@ pub struct SaStats {
     pub lane_table: u64,
     /// Fast-lane decisions that fell back to the exact Boltzmann path.
     pub lane_fallback: u64,
-    /// Counter-RNG draws consumed (turbo lane only; zero elsewhere).
-    pub lane_rng_draws: u64,
 }
 
 impl SaStats {
@@ -172,7 +169,6 @@ impl SaStats {
         r.add("sa.lane.shortcut", self.lane_shortcut);
         r.add("sa.lane.table", self.lane_table);
         r.add("sa.lane.fallback", self.lane_fallback);
-        r.add("sa.lane.rng_draws", self.lane_rng_draws);
     }
 }
 
@@ -274,7 +270,7 @@ impl OnlineScheduler for SaScheduler {
                         .map(|&(t, p)| (packet.tasks[t], packet.procs[p])),
                 );
             }
-            lane => {
+            SaLane::DeltaTable => {
                 self.scratch.load_epoch(
                     ctx,
                     levels,
@@ -283,29 +279,12 @@ impl OnlineScheduler for SaScheduler {
                     self.cfg.balance_range,
                 );
                 let mut counters = LaneCounters::default();
-                let lo = if lane == SaLane::Turbo {
-                    // Packet index = counter-RNG stream id: every packet
-                    // gets an independent, order-free draw stream keyed
-                    // by (seed, packet) — the sequential `self.rng` is
-                    // not touched, so its state never depends on packet
-                    // count.
-                    let mut crng = CounterRng::new(self.cfg.seed, self.stats.packets);
-                    let lo = self.scratch.anneal_turbo(
-                        &params,
-                        &mut crng,
-                        self.cfg.record_traces,
-                        &mut counters,
-                    );
-                    self.stats.lane_rng_draws += crng.draws();
-                    lo
-                } else {
-                    self.scratch.anneal_loaded(
-                        &params,
-                        &mut self.rng,
-                        self.cfg.record_traces,
-                        &mut counters,
-                    )
-                };
+                let lo = self.scratch.anneal_loaded(
+                    &params,
+                    &mut self.rng,
+                    self.cfg.record_traces,
+                    &mut counters,
+                );
 
                 self.stats.packets += 1;
                 self.stats.iterations += lo.iterations;

@@ -218,11 +218,6 @@ pub fn static_sa(
                 SaLane::DeltaTable => {
                     table.accept_lossless(delta, temp, &mut rng, &mut lane_counters)
                 }
-                // Acceptance-only turbo: the no-fallback midpoint rule
-                // on the scheduler's sequential stream. Draw counts
-                // diverge from the other lanes (certain decisions skip
-                // the draw) — allowed, the lane has no stream contract.
-                SaLane::Turbo => table.accept_turbo(delta, temp, &mut rng, &mut lane_counters),
             };
             if acc {
                 accepted_moves += 1;
@@ -432,10 +427,6 @@ mod tests {
         assert_eq!(exact.iterations, fast.iterations);
         assert_eq!(exact.lane_counters.decisions(), 0);
         assert_eq!(fast.lane_counters.decisions(), fast.proposed);
-        // The lossy lane still produces a valid schedule.
-        let turbo = run(SaLane::Turbo);
-        turbo.result.audit(&g).unwrap();
-        assert_eq!(turbo.lane_counters.decisions(), turbo.proposed);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Equality-oracle suite for the delta-table SA fast lane.
 //!
-//! The exact engine is the oracle. Wherever the lane claims losslessness
-//! ([`SaLane::is_lossless`]) these tests demand *bit-for-bit* agreement:
+//! The exact engine is the oracle. The delta-table lane claims
+//! losslessness, so these tests demand *bit-for-bit* agreement:
 //! the same accepted-move sequence, the same `f64` costs and trace
 //! samples, the same final mapping, and the same RNG stream position.
 

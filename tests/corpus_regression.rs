@@ -24,8 +24,7 @@ use anneal_core::SaLane;
 
 /// The corpus baseline was frozen under the delta-table RNG stream, so
 /// the replay pins that lane explicitly rather than relying on the
-/// default. Turbo quality on the corpus is gated separately, in
-/// `tests/sa_lane_turbo.rs`.
+/// default.
 fn baseline_portfolio() -> Portfolio {
     Portfolio::fast_with_lane(SaLane::DeltaTable)
 }

@@ -4,8 +4,7 @@
 //! budget and identical seed, the **delta-table** lane must reproduce
 //! the **exact** lane bit-for-bit — same makespan, same placement, same
 //! static-SA mapping and accept counts (the lossless-oracle contract,
-//! see `docs/ARCHITECTURE.md`, "SA lanes"). The lossy `turbo` lane is
-//! gated statistically in `tests/sa_lane_turbo.rs`.
+//! see `docs/ARCHITECTURE.md`, "SA lanes").
 //!
 //! Both the staged scheduler ([`SaScheduler`] inside [`simulate`]) and
 //! the whole-graph annealer ([`static_sa`]) are gated, because the two
